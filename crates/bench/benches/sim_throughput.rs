@@ -210,12 +210,12 @@ fn bench_trace_overhead(out: &mut Vec<CaseResult>, opts: &Opts) {
     bench_case(out, opts, "trace_overhead/matrix/cpi_stack", || {
         let mut cpi = smt_trace::CpiStack::new(config.block_size as u32);
         let mut sim = Simulator::new(config.clone(), &program);
-        sim.run_traced(&mut cpi).expect("runs").cycles
+        sim.run_with(&mut cpi).expect("runs").cycles
     });
     bench_case(out, opts, "trace_overhead/matrix/full_tracer", || {
         let mut tracer = smt_trace::Tracer::new(config.trace_shape(), 1 << 12);
         let mut sim = Simulator::new(config.clone(), &program);
-        sim.run_traced(&mut tracer).expect("runs").cycles
+        sim.run_with(&mut tracer).expect("runs").cycles
     });
 }
 

@@ -37,16 +37,13 @@ use std::hash::{Hash, Hasher};
 ///
 /// v4: an optional **warm-identity** section after the header records
 /// which configuration identity fields a warmup-fork snapshot allows to
-/// differ on restore (see [`WarmIdentity`]). A snapshot without the
-/// section is still written as v3 byte-for-byte — exact-restore
-/// snapshots, caches, and their byte-identity guarantees are untouched —
-/// and v3 files continue to load. Only snapshots carrying a warm
-/// identity use the v4 layout.
-pub const FORMAT_VERSION: u32 = 4;
-
-/// Oldest format version [`Snapshot::from_bytes`] still accepts (exact
-/// restore only — it predates the warm-identity section).
-pub const MIN_FORMAT_VERSION: u32 = 3;
+/// differ on restore (see [`WarmIdentity`]). Snapshots without it were
+/// still written as v3.
+///
+/// v5: one layout for every snapshot. A presence byte after the header
+/// says whether the warm-identity section follows, so exact and warm
+/// snapshots share this version; v3 and v4 files fail closed.
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: [u8; 8] = *b"SMTSNAP\0";
 
@@ -59,7 +56,7 @@ const MAX_PROGRAM_HASHES: usize = 64;
 /// never drive a huge allocation.
 const MAX_RELAXED_FIELDS: usize = 64;
 
-/// Section tag introducing the v4 warm-identity header section.
+/// Section tag introducing the optional warm-identity header section.
 const WARM_SECTION: u32 = 0x5741_524d; // "WARM"
 
 /// Why a byte buffer could not be decoded.
@@ -274,7 +271,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Identity relaxation carried by a warmup-fork (v4) snapshot.
+/// Identity relaxation carried by a warmup-fork snapshot.
 ///
 /// An exact-restore snapshot binds to one configuration hash. A warm
 /// snapshot instead records *which* configuration fields the forked run
@@ -314,8 +311,8 @@ pub struct Snapshot {
     /// Cycle at which the snapshot was taken (informational; the payload
     /// carries the authoritative copy).
     pub cycle: u64,
-    /// Identity relaxation for warmup forking. `None` serializes as the
-    /// v3 layout (exact restore only); `Some` selects v4.
+    /// Identity relaxation for warmup forking; `None` for a snapshot that
+    /// only supports exact restore.
     pub warm: Option<WarmIdentity>,
     /// Component state, encoded with [`Writer`].
     pub payload: Vec<u8>,
@@ -323,26 +320,18 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Serializes header + payload + checksum into one buffer.
-    ///
-    /// A snapshot without a warm identity is emitted in the v3 layout,
-    /// byte-for-byte identical to what the v3 implementation wrote, so
-    /// exact-restore snapshot files and their byte-identity checks are
-    /// unaffected by the v4 extension.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.buf.extend_from_slice(&MAGIC);
-        w.put_u32(if self.warm.is_some() {
-            FORMAT_VERSION
-        } else {
-            MIN_FORMAT_VERSION
-        });
+        w.put_u32(FORMAT_VERSION);
         w.put_u64(self.config_hash);
         w.put_usize(self.program_hashes.len());
         for &h in &self.program_hashes {
             w.put_u64(h);
         }
         w.put_u64(self.cycle);
+        w.put_bool(self.warm.is_some());
         if let Some(warm) = &self.warm {
             w.section(WARM_SECTION);
             w.put_usize(warm.relaxed.len());
@@ -358,15 +347,14 @@ impl Snapshot {
     }
 
     /// Decodes and validates a buffer produced by [`to_bytes`](Self::to_bytes).
-    /// Accepts the current version and v3 (exact-restore snapshots, which
-    /// decode with `warm: None`); anything else fails closed.
+    /// Any version other than [`FORMAT_VERSION`] fails closed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         if r.take(MAGIC.len())? != MAGIC {
             return Err(DecodeError::BadMagic);
         }
         let version = r.take_u32()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(DecodeError::Version {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -384,7 +372,7 @@ impl Snapshot {
             program_hashes.push(r.take_u64()?);
         }
         let cycle = r.take_u64()?;
-        let warm = if version >= 4 {
+        let warm = if r.take_bool()? {
             r.expect_section(WARM_SECTION)?;
             let k = r.take_usize()?;
             if k > MAX_RELAXED_FIELDS {
@@ -553,58 +541,53 @@ mod tests {
         assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
-    /// An exact-restore snapshot (no warm identity) must keep writing the
-    /// v3 layout byte-for-byte: existing snapshot files and the sweep's
-    /// byte-identity guarantees predate the v4 extension.
+    /// Pins the single wire layout, for a snapshot with and one without a
+    /// warm identity, against a hand-built byte image.
     #[test]
-    fn exact_snapshot_still_writes_v3_bytes() {
-        let snap = Snapshot {
+    fn layout_is_pinned_with_and_without_warm_identity() {
+        let exact = Snapshot {
             config_hash: 0xabcd,
             program_hashes: vec![1, 2],
             cycle: 9,
             warm: None,
             payload: vec![7; 16],
         };
-        let bytes = snap.to_bytes();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            MIN_FORMAT_VERSION,
-            "exact snapshots stay on the v3 wire format"
-        );
-        // Hand-build the v3 layout and compare every byte.
-        let mut w = Writer::new();
-        w.buf.extend_from_slice(&MAGIC);
-        w.put_u32(3);
-        w.put_u64(snap.config_hash);
-        w.put_usize(snap.program_hashes.len());
-        for &h in &snap.program_hashes {
-            w.put_u64(h);
-        }
-        w.put_u64(snap.cycle);
-        w.put_bytes(&snap.payload);
-        let sum = fnv1a(&w.buf);
-        w.put_u64(sum);
-        assert_eq!(bytes, w.into_bytes());
-    }
-
-    #[test]
-    fn warm_snapshot_round_trips_as_v4() {
-        let snap = Snapshot {
-            config_hash: 0x1111,
-            program_hashes: vec![0x2222, 0x3333],
-            cycle: 777,
+        let warm = Snapshot {
             warm: Some(WarmIdentity {
                 relaxed: vec![2, 5, 9],
                 warm_hash: 0xfeed_f00d,
             }),
-            payload: vec![9, 8, 7],
+            ..exact.clone()
         };
-        let bytes = snap.to_bytes();
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            FORMAT_VERSION
-        );
-        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
+        for snap in [exact, warm] {
+            let mut w = Writer::new();
+            w.buf.extend_from_slice(b"SMTSNAP\0");
+            w.put_u32(5);
+            w.put_u64(snap.config_hash);
+            w.put_usize(snap.program_hashes.len());
+            for &h in &snap.program_hashes {
+                w.put_u64(h);
+            }
+            w.put_u64(snap.cycle);
+            match &snap.warm {
+                None => w.put_u8(0),
+                Some(warm) => {
+                    w.put_u8(1);
+                    w.put_u32(0x5741_524d);
+                    w.put_usize(warm.relaxed.len());
+                    for &id in &warm.relaxed {
+                        w.put_u32(id);
+                    }
+                    w.put_u64(warm.warm_hash);
+                }
+            }
+            w.put_bytes(&snap.payload);
+            let sum = fnv1a(&w.buf);
+            w.put_u64(sum);
+            let bytes = snap.to_bytes();
+            assert_eq!(bytes, w.into_bytes(), "warm: {:?}", snap.warm);
+            assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
+        }
     }
 
     #[test]
@@ -675,10 +658,10 @@ mod tests {
         ));
     }
 
-    /// A snapshot from an older format version must be rejected even when
-    /// its checksum is intact — version precedes checksum in the decode
-    /// order, and a stale-but-uncorrupted file is the realistic case (a
-    /// sweep cache left on disk across a simulator upgrade).
+    /// A snapshot from any retired format version must be rejected even
+    /// when its checksum is intact — version precedes checksum in the
+    /// decode order, and a stale-but-uncorrupted file is the realistic case
+    /// (a sweep cache left on disk across a simulator upgrade).
     #[test]
     fn stale_version_rejected_with_valid_checksum() {
         let snap = Snapshot {
@@ -688,20 +671,22 @@ mod tests {
             warm: None,
             payload: vec![0x55; 32],
         };
-        let mut v1 = snap.to_bytes();
-        v1[8..12].copy_from_slice(&2u32.to_le_bytes());
-        // Re-seal: the forged version byte must carry a *valid* checksum so
-        // the test proves rejection happens on version, not on integrity.
-        let body = v1.len() - 8;
-        let sum = fnv1a(&v1[..body]);
-        v1[body..].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&v1),
-            Err(DecodeError::Version {
-                found: 2,
-                supported: FORMAT_VERSION,
-            })
-        );
+        for stale in [2u32, 3, 4] {
+            let mut old = snap.to_bytes();
+            old[8..12].copy_from_slice(&stale.to_le_bytes());
+            // Re-seal: the forged version must carry a *valid* checksum so
+            // the test proves rejection happens on version, not integrity.
+            let body = old.len() - 8;
+            let sum = fnv1a(&old[..body]);
+            old[body..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&old),
+                Err(DecodeError::Version {
+                    found: stale,
+                    supported: FORMAT_VERSION,
+                })
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,28 @@
-//! Commit-stream observation: a pluggable sink receiving every
-//! architecturally retired instruction in commit order.
+//! Run observation: the [`Observer`] hooks a run drives every cycle, and
+//! the architectural commit stream they expose.
 //!
 //! The cycle simulator's only externally visible contract is its commit
 //! stream — which instructions retire, in what order, with what register
-//! and memory effects. A [`CommitSink`] taps that stream without touching
-//! the machine: [`Simulator::run_observed`] delivers one [`Retirement`]
-//! per architecturally retiring instruction, and the default
-//! [`Simulator::run`] path compiles to exactly the code it had before the
-//! sink existed (the sink is an `Option` checked once per retirement; no
-//! event is even constructed when unset).
+//! and memory effects. [`Simulator::run_with`] delivers one [`Retirement`]
+//! per architecturally retiring instruction to [`Observer::retired`] and,
+//! if the observer asks for them, every pipeline event to
+//! [`Observer::trace`]. The simulator is generic over the observer, so
+//! each hook left at its no-op default compiles away; [`Simulator::run`]
+//! observes with `()` and pays for no hook at all.
 //!
-//! The primary consumer is the lockstep oracle in `smt-oracle`, which
-//! replays the stream on the functional interpreter and diffs every
+//! The primary retirement consumer is the lockstep oracle in `smt-oracle`,
+//! which replays the stream on the functional interpreter and diffs every
 //! retirement. Spin retirements of unsatisfied `WAIT`s are *not*
-//! architectural (the instruction refetches) and are not delivered.
+//! architectural (the instruction refetches) and are not delivered. The
+//! pipeline-event consumers are the [`TraceSink`]s of `smt-trace`, each of
+//! which is an observer.
 //!
 //! [`Simulator::run`]: crate::Simulator::run
-//! [`Simulator::run_observed`]: crate::Simulator::run_observed
+//! [`Simulator::run_with`]: crate::Simulator::run_with
 
 use smt_isa::{DecodedInsn, Opcode, Reg};
 use smt_mem::MemError;
+use smt_trace::{TraceEvent, TraceSink};
 
 /// One architecturally retired instruction, observed at commit.
 #[derive(Clone, Copy, Debug)]
@@ -56,16 +59,42 @@ impl Retirement {
     }
 }
 
-/// Observer of the architectural commit stream.
+/// Observer of a run, driven once per cycle by [`Simulator::run_with`] and
+/// [`Simulator::step_with`].
 ///
-/// Implementations must not assume anything about *timing* — consecutive
-/// retirements may share a cycle (a block commits whole) and cycles with no
-/// retirement are silent.
-pub trait CommitSink {
+/// Every hook defaults to a no-op, and an observer cannot perturb the
+/// machine: an observed run is cycle-for-cycle identical to an unobserved
+/// one. Implementations must not assume anything about *timing* —
+/// consecutive retirements may share a cycle (a block commits whole) and
+/// cycles with no retirement are silent. Every [`TraceSink`] is an observer
+/// of the pipeline events, and `()` is the observer that sees nothing.
+///
+/// [`Simulator::run_with`]: crate::Simulator::run_with
+/// [`Simulator::step_with`]: crate::Simulator::step_with
+pub trait Observer {
+    /// Whether the simulator delivers pipeline events to
+    /// [`trace`](Self::trace). It is read at compile time: with `false`
+    /// the simulator builds no event and skips every trace-only
+    /// computation (the end-of-cycle occupancy snapshot, the decode stage's
+    /// lost-slot cause classification).
+    const TRACES: bool = false;
+
     /// Called once per architecturally retired instruction, in commit
     /// order, plus once for a commit-time fault (with
     /// [`Retirement::fault`] set) immediately before the run aborts.
-    fn retired(&mut self, r: &Retirement);
+    fn retired(&mut self, _r: &Retirement) {}
+
+    /// Called once per pipeline event when [`TRACES`](Self::TRACES) is set,
+    /// in pipeline order within each cycle (see [`TraceSink::event`]).
+    fn trace(&mut self, _ev: &TraceEvent<'_>) {}
+}
+
+impl<T: TraceSink> Observer for T {
+    const TRACES: bool = T::ENABLED;
+
+    fn trace(&mut self, ev: &TraceEvent<'_>) {
+        self.event(ev);
+    }
 }
 
 #[cfg(test)]
@@ -81,7 +110,7 @@ mod tests {
         events: Vec<Retirement>,
     }
 
-    impl CommitSink for Recorder {
+    impl Observer for Recorder {
         fn retired(&mut self, r: &Retirement) {
             self.events.push(*r);
         }
@@ -102,7 +131,7 @@ mod tests {
 
         let mut sim = Simulator::new(SimConfig::default().with_threads(2), &p);
         let mut rec = Recorder::default();
-        let stats = sim.run_observed(&mut rec).expect("program completes");
+        let stats = sim.run_with(&mut rec).expect("program completes");
 
         assert_eq!(
             rec.events.len() as u64,
@@ -164,7 +193,7 @@ mod tests {
         let plain_stats = plain.run().unwrap();
         let mut observed = Simulator::new(SimConfig::default(), &p);
         let mut rec = Recorder::default();
-        let observed_stats = observed.run_observed(&mut rec).unwrap();
+        let observed_stats = observed.run_with(&mut rec).unwrap();
         assert_eq!(plain_stats, observed_stats, "observation changes nothing");
         assert_eq!(plain.reg_file(), observed.reg_file());
         assert_eq!(plain.memory().words(), observed.memory().words());
@@ -181,7 +210,7 @@ mod tests {
         let p = b.build(1).unwrap();
         let mut sim = Simulator::new(SimConfig::default().with_threads(1), &p);
         let mut rec = Recorder::default();
-        let err = sim.run_observed(&mut rec).expect_err("store faults");
+        let err = sim.run_with(&mut rec).expect_err("store faults");
         let last = rec.events.last().expect("fault event delivered");
         let fault = last.fault.expect("last event carries the fault");
         assert!(matches!(

@@ -426,7 +426,7 @@ impl SimConfig {
 
 /// Configuration-field identity registry for **warmup forking**.
 ///
-/// A warm (v4) snapshot names the fields a forked run may change as a
+/// A warm snapshot names the fields a forked run may change as a
 /// list of these ids, and binds everything else with a hash of the
 /// source configuration after [`canonicalize`] replaced every relaxed
 /// field with its default. `Simulator::fork_warm` recomputes that hash

@@ -45,7 +45,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`commit`] | [`CommitSink`]: the observable architectural commit stream |
+//! | [`commit`] | [`Observer`]: per-cycle run hooks, and the architectural commit stream |
 //! | [`config`] | [`SimConfig`] and the policy enums (the paper's Table 2) |
 //! | [`fetch`] | instruction unit: PCs, fetch policies (Section 5.1) |
 //! | [`su`] | scheduling unit: blocks, renaming lookups, commit selection |
@@ -54,10 +54,12 @@
 //! | [`error`] | [`SimError`] |
 //!
 //! Pipeline observability (lifecycle tracing, CPI-stack stall attribution,
-//! occupancy telemetry) lives in the re-exported [`trace`] crate; attach a
-//! [`trace::TraceSink`] with [`Simulator::run_traced`]. With no sink the
-//! event plumbing compiles away — traced and untraced runs are
-//! cycle-for-cycle identical, and untraced runs pay nothing.
+//! occupancy telemetry) lives in the re-exported [`trace`] crate; every
+//! [`trace::TraceSink`] is an [`Observer`], attached with
+//! [`Simulator::run_with`]. The simulator is generic over the observer, so
+//! [`Simulator::run`] (observer `()`) compiles the event plumbing away —
+//! traced and untraced runs are cycle-for-cycle identical, and untraced
+//! runs pay nothing.
 
 pub mod commit;
 pub mod config;
@@ -70,7 +72,7 @@ pub mod su;
 
 pub use smt_trace as trace;
 
-pub use commit::{CommitSink, Retirement};
+pub use commit::{Observer, Retirement};
 pub use config::{CommitPolicy, ConfigError, FetchPolicy, RenamingMode, SimConfig};
 pub use error::SimError;
 pub use sim::{config_identity, program_identity, Simulator};

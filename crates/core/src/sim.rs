@@ -18,7 +18,7 @@ use smt_mem::{CacheStats, DataCache, MainMemory, MemError, Outcome, StoreBuffer}
 use smt_trace::{DecodedSlot, MemKind, Occupancy, RetireKind, SlotCause, TraceEvent, TraceSink};
 use smt_uarch::{FuPool, Predictor, TagAllocator};
 
-use crate::commit::{CommitSink, Retirement};
+use crate::commit::{Observer, Retirement};
 use crate::config::{warm, FetchPolicy, RenamingMode, SimConfig};
 use crate::error::SimError;
 use crate::fetch::{FetchedBlock, FetchedInsn, InstructionUnit};
@@ -431,64 +431,41 @@ impl<'p> Simulator<'p> {
     /// * [`SimError::Watchdog`] if `max_cycles` elapse first (deadlock),
     /// * [`SimError::Mem`] on a non-speculative memory fault.
     pub fn run(&mut self) -> Result<SimStats, SimError> {
-        self.run_inner(None, None)
+        self.run_with(&mut ())
     }
 
-    /// Runs to completion, delivering every architecturally retired
-    /// instruction to `sink` in commit order (see [`CommitSink`]).
+    /// Runs to completion with `obs` attached (see [`Observer`]).
     ///
-    /// Behaviorally identical to [`run`](Self::run): the sink observes the
+    /// Behaviorally identical to [`run`](Self::run): the observer sees the
     /// machine, it cannot perturb it.
     ///
     /// # Errors
     ///
-    /// Same as [`run`](Self::run). On a commit-time memory fault the sink
-    /// receives one final event with [`Retirement::fault`] set before the
-    /// error is returned.
-    pub fn run_observed(&mut self, sink: &mut dyn CommitSink) -> Result<SimStats, SimError> {
-        self.run_inner(Some(sink), None)
-    }
-
-    /// Runs to completion, emitting every pipeline lifecycle event into
-    /// `trace` (see [`TraceSink`]). Like a commit sink, a trace sink
-    /// observes the machine but cannot perturb it: traced and untraced runs
-    /// are cycle-for-cycle identical.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_traced(&mut self, trace: &mut dyn TraceSink) -> Result<SimStats, SimError> {
-        self.run_inner(None, Some(trace))
-    }
-
-    /// Runs with both a commit sink and a trace sink attached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_observed`](Self::run_observed).
-    pub fn run_observed_traced(
-        &mut self,
-        sink: &mut dyn CommitSink,
-        trace: &mut dyn TraceSink,
-    ) -> Result<SimStats, SimError> {
-        self.run_inner(Some(sink), Some(trace))
-    }
-
-    fn run_inner(
-        &mut self,
-        mut sink: Option<&mut dyn CommitSink>,
-        mut trace: Option<&mut dyn TraceSink>,
-    ) -> Result<SimStats, SimError> {
+    /// Same as [`run`](Self::run). On a commit-time memory fault the
+    /// observer receives one final retirement with [`Retirement::fault`]
+    /// set before the error is returned.
+    pub fn run_with<O: Observer>(&mut self, obs: &mut O) -> Result<SimStats, SimError> {
         while !self.finished() {
             if self.cycle >= self.config.max_cycles {
                 return Err(SimError::Watchdog {
                     cycles: self.config.max_cycles,
                 });
             }
-            self.step_inner(sink.as_deref_mut(), trace.as_deref_mut())?;
+            self.step_with(obs)?;
         }
         self.finalize_stats();
         Ok(self.stats.clone())
+    }
+
+    /// Runs to completion with a trace sink attached: shorthand for
+    /// [`run_with`](Self::run_with), kept because the end-to-end benchmark
+    /// (`e2ebench/`) calls it. New code calls `run_with`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Self::run).
+    pub fn run_traced<T: TraceSink>(&mut self, trace: &mut T) -> Result<SimStats, SimError> {
+        self.run_with(trace)
     }
 
     /// Advances the machine one cycle.
@@ -497,42 +474,25 @@ impl<'p> Simulator<'p> {
     ///
     /// Same as [`run`](Self::run), minus the watchdog.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.step_inner(None, None)
+        self.step_with(&mut ())
     }
 
-    /// Advances one cycle, delivering any retirements to `sink`.
+    /// Advances one cycle with `obs` attached.
     ///
     /// # Errors
     ///
     /// Same as [`step`](Self::step).
-    pub fn step_observed(&mut self, sink: &mut dyn CommitSink) -> Result<(), SimError> {
-        self.step_inner(Some(sink), None)
-    }
-
-    /// Advances one cycle, emitting lifecycle events into `trace`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](Self::step).
-    pub fn step_traced(&mut self, trace: &mut dyn TraceSink) -> Result<(), SimError> {
-        self.step_inner(None, Some(trace))
-    }
-
-    fn step_inner(
-        &mut self,
-        sink: Option<&mut (dyn CommitSink + '_)>,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<(), SimError> {
-        self.commit_stage(sink, trace.as_deref_mut())?;
+    pub fn step_with<O: Observer>(&mut self, obs: &mut O) -> Result<(), SimError> {
+        self.commit_stage(obs)?;
         self.drain_store_stage()?;
-        self.writeback_stage(trace.as_deref_mut())?;
-        self.issue_stage(trace.as_deref_mut())?;
-        self.decode_stage(trace.as_deref_mut());
+        self.writeback_stage(obs)?;
+        self.issue_stage(obs)?;
+        self.decode_stage(obs);
         self.fetch_stage();
         self.stats.su_occupancy_sum += self.su.num_entries() as u64;
-        if let Some(t) = trace {
+        if O::TRACES {
             let occ = self.occupancy();
-            t.event(&TraceEvent::CycleEnd {
+            obs.trace(&TraceEvent::CycleEnd {
                 cycle: self.cycle,
                 occ: &occ,
             });
@@ -579,11 +539,7 @@ impl<'p> Simulator<'p> {
 
     // ---- commit -------------------------------------------------------------
 
-    fn commit_stage(
-        &mut self,
-        mut sink: Option<&mut (dyn CommitSink + '_)>,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<(), SimError> {
+    fn commit_stage<O: Observer>(&mut self, obs: &mut O) -> Result<(), SimError> {
         if let Some(i) = self
             .su
             .find_committable(self.config.commit_policy, self.config.commit_window_blocks)
@@ -605,23 +561,20 @@ impl<'p> Simulator<'p> {
                     .expect("find predicate guarantees a fault");
                 let pc = self.su.pc_at(i, ei);
                 let insn = self.su.insn_at(i, ei);
-                let uid = self.su.uid_at(i, ei);
-                if let Some(s) = sink.as_deref_mut() {
-                    s.retired(&Retirement {
+                obs.retired(&Retirement {
+                    cycle: self.cycle,
+                    block: self.su.block_id(i),
+                    tid,
+                    pc,
+                    insn,
+                    dest: None,
+                    mem: None,
+                    fault: Some(err),
+                });
+                if O::TRACES {
+                    obs.trace(&TraceEvent::Retired {
                         cycle: self.cycle,
-                        block: self.su.block_id(i),
-                        tid,
-                        pc,
-                        insn,
-                        dest: None,
-                        mem: None,
-                        fault: Some(err),
-                    });
-                }
-                if let Some(t) = trace.as_deref_mut() {
-                    t.event(&TraceEvent::Retired {
-                        cycle: self.cycle,
-                        uid,
+                        uid: self.su.uid_at(i, ei),
                         kind: RetireKind::Fault,
                     });
                 }
@@ -655,21 +608,19 @@ impl<'p> Simulator<'p> {
                     }
                     if architectural {
                         self.stats.committed[tid] += 1;
-                        if let Some(s) = sink.as_deref_mut() {
-                            s.retired(&Retirement {
-                                cycle: self.cycle,
-                                block: bid,
-                                tid,
-                                pc: e.pc,
-                                insn: e.insn,
-                                dest: e.insn.dest.map(|rd| (rd, e.result)),
-                                mem: (e.insn.op == Opcode::Sd).then_some((e.mem_addr, e.result)),
-                                fault: None,
-                            });
-                        }
+                        obs.retired(&Retirement {
+                            cycle: self.cycle,
+                            block: bid,
+                            tid,
+                            pc: e.pc,
+                            insn: e.insn,
+                            dest: e.insn.dest.map(|rd| (rd, e.result)),
+                            mem: (e.insn.op == Opcode::Sd).then_some((e.mem_addr, e.result)),
+                            fault: None,
+                        });
                     }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.event(&TraceEvent::Retired {
+                    if O::TRACES {
+                        obs.trace(&TraceEvent::Retired {
                             cycle: self.cycle,
                             uid: e.uid,
                             kind: if architectural {
@@ -700,6 +651,10 @@ impl<'p> Simulator<'p> {
     /// immediately: commit *is* the release point). Returns whether every
     /// store made it; progress is guaranteed because the buffer drains one
     /// entry per cycle regardless of pipeline state.
+    ///
+    /// Always inlined, like the per-cycle `SchedulingUnit` methods: every
+    /// observer type's `commit_stage` calls it.
+    #[inline(always)]
     fn buffer_block_stores(&mut self, bi: usize) -> bool {
         let tid = self.su.block_tid(bi);
         for ei in 0..self.su.block_len(bi) {
@@ -745,10 +700,7 @@ impl<'p> Simulator<'p> {
 
     // ---- writeback --------------------------------------------------------------
 
-    fn writeback_stage(
-        &mut self,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<(), SimError> {
+    fn writeback_stage<O: Observer>(&mut self, obs: &mut O) -> Result<(), SimError> {
         // The scheduling unit's completion heap hands out due completions
         // in the reference order: earliest `done_at`, oldest position
         // breaking ties.
@@ -756,16 +708,16 @@ impl<'p> Simulator<'p> {
             let Some((bi, ei)) = self.su.pop_completion(self.cycle) else {
                 break;
             };
-            self.complete_entry(bi, ei, trace.as_deref_mut())?;
+            self.complete_entry(bi, ei, obs)?;
         }
         Ok(())
     }
 
-    fn complete_entry(
+    fn complete_entry<O: Observer>(
         &mut self,
         bi: usize,
         ei: usize,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
+        obs: &mut O,
     ) -> Result<(), SimError> {
         let now = self.cycle;
         self.su.mark_done(bi, ei);
@@ -773,8 +725,8 @@ impl<'p> Simulator<'p> {
         let pc = self.su.pc_at(bi, ei);
         let insn = self.su.insn_at(bi, ei);
         let result = self.su.result_at(bi, ei);
-        if let Some(t) = trace.as_deref_mut() {
-            t.event(&TraceEvent::Completed {
+        if O::TRACES {
+            obs.trace(&TraceEvent::Completed {
                 cycle: now,
                 uid: self.su.uid_at(bi, ei),
             });
@@ -824,7 +776,7 @@ impl<'p> Simulator<'p> {
                 if actual_next != predicted_next {
                     self.stats.branches.mispredicted += 1;
                     self.su.set_mispredicted(bi, ei);
-                    self.squash_wrong_path(tid, bi, ei, actual_next, trace);
+                    self.squash_wrong_path(tid, bi, ei, actual_next, obs);
                 }
             }
             _ => {}
@@ -836,13 +788,13 @@ impl<'p> Simulator<'p> {
     /// their tags, and redirect the thread's fetch. (Stores only enter the
     /// store buffer at commit, so nothing speculative can be resident
     /// there.)
-    fn squash_wrong_path(
+    fn squash_wrong_path<O: Observer>(
         &mut self,
         tid: usize,
         bi: usize,
         ei: usize,
         correct_pc: usize,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
+        obs: &mut O,
     ) {
         // The squash deregisters removed entries from the waiter, producer,
         // and forwarding indexes itself; the simulator only settles the
@@ -853,8 +805,8 @@ impl<'p> Simulator<'p> {
         for idx in 0..removed {
             let r = self.su.squashed_at(idx);
             self.tags.free(r.tag);
-            if let Some(t) = trace.as_deref_mut() {
-                t.event(&TraceEvent::Squashed {
+            if O::TRACES {
+                obs.trace(&TraceEvent::Squashed {
                     cycle: self.cycle,
                     uid: r.uid,
                 });
@@ -886,10 +838,7 @@ impl<'p> Simulator<'p> {
 
     // ---- issue ---------------------------------------------------------------------
 
-    fn issue_stage(
-        &mut self,
-        mut trace: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<(), SimError> {
+    fn issue_stage<O: Observer>(&mut self, obs: &mut O) -> Result<(), SimError> {
         let mut budget = self.config.issue_width;
         let mut bi = 0;
         while bi < self.su.num_blocks() && budget > 0 {
@@ -905,7 +854,7 @@ impl<'p> Simulator<'p> {
             while mask != 0 && budget > 0 {
                 let ei = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                if self.try_issue_entry(bi, ei, trace.as_deref_mut())? {
+                if self.try_issue_entry(bi, ei, obs)? {
                     budget -= 1;
                     self.stats.issued += 1;
                 }
@@ -918,11 +867,11 @@ impl<'p> Simulator<'p> {
     }
 
     /// Attempts to issue the entry at `(bi, ei)`. Returns whether it issued.
-    fn try_issue_entry(
+    fn try_issue_entry<O: Observer>(
         &mut self,
         bi: usize,
         ei: usize,
-        trace: Option<&mut (dyn TraceSink + '_)>,
+        obs: &mut O,
     ) -> Result<bool, SimError> {
         let now = self.cycle;
         let bypass = self.config.bypass;
@@ -988,7 +937,7 @@ impl<'p> Simulator<'p> {
                     self.su.set_fault(bi, ei, err);
                 }
                 self.su.mark_executing(bi, ei, done_at);
-                self.emit_issued(bi, ei, done_at, memk, trace);
+                self.emit_issued(bi, ei, done_at, memk, obs);
                 Ok(true)
             }
             FuClass::Store => {
@@ -1020,7 +969,7 @@ impl<'p> Simulator<'p> {
                     self.su.set_fault(bi, ei, err);
                 }
                 self.su.mark_executing(bi, ei, done_at);
-                self.emit_issued(bi, ei, done_at, MemKind::None, trace);
+                self.emit_issued(bi, ei, done_at, MemKind::None, obs);
                 Ok(true)
             }
             FuClass::Sync => {
@@ -1043,7 +992,7 @@ impl<'p> Simulator<'p> {
                         let done_at = self.fu.try_issue(class, now).expect("checked");
                         self.su.set_sync_satisfied(bi, ei, satisfied);
                         self.su.mark_executing(bi, ei, done_at);
-                        self.emit_issued(bi, ei, done_at, MemKind::None, trace);
+                        self.emit_issued(bi, ei, done_at, MemKind::None, obs);
                         Ok(true)
                     }
                     Opcode::Post => {
@@ -1060,7 +1009,7 @@ impl<'p> Simulator<'p> {
                         // writeback's fetch_add.
                         self.su.set_result(bi, ei, gaddr);
                         self.su.mark_executing(bi, ei, done_at);
-                        self.emit_issued(bi, ei, done_at, MemKind::None, trace);
+                        self.emit_issued(bi, ei, done_at, MemKind::None, obs);
                         Ok(true)
                     }
                     other => unreachable!("non-sync opcode {other} in sync class"),
@@ -1078,7 +1027,7 @@ impl<'p> Simulator<'p> {
                 };
                 self.su.set_taken_target(bi, ei, taken, target);
                 self.su.mark_executing(bi, ei, done_at);
-                self.emit_issued(bi, ei, done_at, MemKind::None, trace);
+                self.emit_issued(bi, ei, done_at, MemKind::None, obs);
                 Ok(true)
             }
             _ => {
@@ -1089,23 +1038,23 @@ impl<'p> Simulator<'p> {
                 self.su
                     .set_result(bi, ei, alu_result(insn.op, a, b, insn.imm));
                 self.su.mark_executing(bi, ei, done_at);
-                self.emit_issued(bi, ei, done_at, MemKind::None, trace);
+                self.emit_issued(bi, ei, done_at, MemKind::None, obs);
                 Ok(true)
             }
         }
     }
 
     /// Emits the [`TraceEvent::Issued`] event for the entry at `(bi, ei)`.
-    fn emit_issued(
+    fn emit_issued<O: Observer>(
         &self,
         bi: usize,
         ei: usize,
         done_at: u64,
         mem: MemKind,
-        trace: Option<&mut (dyn TraceSink + '_)>,
+        obs: &mut O,
     ) {
-        if let Some(t) = trace {
-            t.event(&TraceEvent::Issued {
+        if O::TRACES {
+            obs.trace(&TraceEvent::Issued {
                 cycle: self.cycle,
                 uid: self.su.uid_at(bi, ei),
                 fu: self.su.insn_at(bi, ei).fu,
@@ -1136,7 +1085,7 @@ impl<'p> Simulator<'p> {
 
     // ---- decode ---------------------------------------------------------------------
 
-    fn decode_stage(&mut self, mut trace: Option<&mut (dyn TraceSink + '_)>) {
+    fn decode_stage<O: Observer>(&mut self, obs: &mut O) {
         // Slot accounting contract (see `smt_trace`): every cycle this stage
         // disposes of exactly `block_size × fetch_threads` decode slots —
         // one `block_size`-slot lane per fetch port, each slot either a
@@ -1146,12 +1095,7 @@ impl<'p> Simulator<'p> {
         let mut deferred_operand: u32 = 0;
         let mut deferred_width: u32 = 0;
         for _ in 0..self.config.fetch_threads {
-            self.decode_lane(
-                &mut qi,
-                &mut deferred_operand,
-                &mut deferred_width,
-                trace.as_deref_mut(),
-            );
+            self.decode_lane(&mut qi, &mut deferred_operand, &mut deferred_width, obs);
         }
     }
 
@@ -1165,12 +1109,12 @@ impl<'p> Simulator<'p> {
     /// moves past it. `deferred_operand`/`deferred_width` record the
     /// deferring threads: per-thread decode is in order, so a younger group
     /// of a deferred thread must not enter ahead of its stalled elder.
-    fn decode_lane(
+    fn decode_lane<O: Observer>(
         &mut self,
         qi: &mut usize,
         deferred_operand: &mut u32,
         deferred_width: &mut u32,
-        trace: Option<&mut (dyn TraceSink + '_)>,
+        obs: &mut O,
     ) {
         let width = self.config.block_size as u32;
         let deferred = *deferred_operand | *deferred_width;
@@ -1178,7 +1122,7 @@ impl<'p> Simulator<'p> {
             *qi += 1;
         }
         if *qi >= self.fetch_queue.len() {
-            if let Some(t) = trace {
+            if O::TRACES {
                 let cause = if self.fetch_queue.is_empty() {
                     self.frontend_starve_cause()
                 } else if *deferred_operand != 0 {
@@ -1190,7 +1134,7 @@ impl<'p> Simulator<'p> {
                     // cycle: decode-bandwidth fragmentation.
                     SlotCause::Fragment
                 };
-                t.event(&TraceEvent::SlotsLost {
+                obs.trace(&TraceEvent::SlotsLost {
                     cycle: self.cycle,
                     cause,
                     slots: width,
@@ -1202,8 +1146,8 @@ impl<'p> Simulator<'p> {
             // The paper's "scheduling unit stall": entries cannot shift, so
             // no new block enters (counted once per stalled lane).
             self.stats.su_stall_cycles += 1;
-            if let Some(t) = trace {
-                t.event(&TraceEvent::SlotsLost {
+            if O::TRACES {
+                obs.trace(&TraceEvent::SlotsLost {
                     cycle: self.cycle,
                     cause: self.head_stall_cause(),
                     slots: width,
@@ -1341,15 +1285,15 @@ impl<'p> Simulator<'p> {
             // whole group next cycle (it keeps its queue position; this
             // lane's later siblings skip the thread to stay in order).
             self.decode_buf = staged;
-            if let Some(t) = trace {
+            if O::TRACES {
                 let held = block.insns.len() as u32;
-                t.event(&TraceEvent::SlotsLost {
+                obs.trace(&TraceEvent::SlotsLost {
                     cycle: self.cycle,
                     cause: SlotCause::OperandWait,
                     slots: held.min(width),
                 });
                 if width > held {
-                    t.event(&TraceEvent::SlotsLost {
+                    obs.trace(&TraceEvent::SlotsLost {
                         cycle: self.cycle,
                         cause: SlotCause::Fragment,
                         slots: width - held,
@@ -1367,9 +1311,9 @@ impl<'p> Simulator<'p> {
                 self.memsync[tid].push_back((bid, ei));
             }
         }
-        if let Some(t) = trace {
+        if O::TRACES {
             for (ei, e) in staged.iter().enumerate() {
-                t.event(&TraceEvent::Decoded {
+                obs.trace(&TraceEvent::Decoded {
                     cycle: self.cycle,
                     slot: &DecodedSlot {
                         uid: e.uid,
@@ -1389,14 +1333,14 @@ impl<'p> Simulator<'p> {
             let decoded = staged.len() as u32;
             let held = (leftover.len() as u32).min(width - decoded);
             if held > 0 {
-                t.event(&TraceEvent::SlotsLost {
+                obs.trace(&TraceEvent::SlotsLost {
                     cycle: self.cycle,
                     cause: SlotCause::OperandWait,
                     slots: held,
                 });
             }
             if width > decoded + held {
-                t.event(&TraceEvent::SlotsLost {
+                obs.trace(&TraceEvent::SlotsLost {
                     cycle: self.cycle,
                     cause: SlotCause::Fragment,
                     slots: width - decoded - held,
@@ -1697,7 +1641,7 @@ impl<'p> Simulator<'p> {
                         cycles: self.config.max_cycles,
                     });
                 }
-                self.step_inner(None, None)?;
+                self.step()?;
             }
             Ok(())
         })();
@@ -2834,7 +2778,7 @@ mod tests {
             sim.step().unwrap();
         }
         sim.drain().unwrap();
-        // Round-trip the wire format: warm snapshots are v4 on disk.
+        // Round-trip the wire format, warm-identity section included.
         let bytes = sim.checkpoint_warm(&warm::relax_all()).unwrap().to_bytes();
         let snap = smt_checkpoint::Snapshot::from_bytes(&bytes).unwrap();
         assert!(snap.warm.is_some());

@@ -349,6 +349,11 @@ pub struct SchedulingUnit {
     squash_buf: Vec<SquashedEntry>,
 }
 
+// The per-cycle methods the pipeline calls from its stages are
+// `#[inline(always)]`. `Simulator::step_with` is instantiated once per
+// observer type, so each has several call sites, and the inliner would
+// otherwise outline them: about 5% of simulated throughput on the
+// unobserved path (`sim_throughput` bench, 2-vCPU Xeon host).
 impl SchedulingUnit {
     /// Creates an empty unit holding `capacity_blocks` blocks of
     /// `block_size` instructions.
@@ -715,6 +720,7 @@ impl SchedulingUnit {
 
     /// Copy-out view of entry `(bi, ei)` for the commit drain.
     #[must_use]
+    #[inline(always)]
     pub fn commit_view(&self, bi: usize, ei: usize) -> CommittedEntry {
         let h = self.handle(bi, ei);
         CommittedEntry {
@@ -745,6 +751,7 @@ impl SchedulingUnit {
     }
 
     /// Records the resolved outcome of the control transfer at `(bi, ei)`.
+    #[inline(always)]
     pub fn set_taken_target(&mut self, bi: usize, ei: usize, taken: bool, target: usize) {
         let h = self.handle(bi, ei);
         if taken {
@@ -932,6 +939,7 @@ impl SchedulingUnit {
     /// `(tid, reg)`, per the paper's associative search "modified … to
     /// succeed only if the thread number and the register number match".
     #[must_use]
+    #[inline(always)]
     pub fn lookup(&self, tid: usize, reg: smt_isa::Reg) -> Lookup {
         let Some(&h) = self
             .producers
@@ -955,6 +963,7 @@ impl SchedulingUnit {
     /// operand waiting on it becomes ready with `value` at cycle `now`.
     /// Walks exactly the registered waiter nodes — O(consumers), not
     /// O(window).
+    #[inline(always)]
     pub fn broadcast(&mut self, bi: usize, ei: usize, value: u64, now: u64) {
         let p = self.handle(bi, ei);
         let mut node = self.waiter_head[p];
@@ -1020,6 +1029,7 @@ impl SchedulingUnit {
     /// # Panics
     ///
     /// Panics if the entry is already `Done`.
+    #[inline(always)]
     pub fn mark_done(&mut self, bi: usize, ei: usize) {
         let row = self.row(bi);
         let bit = 1u32 << ei;
@@ -1035,6 +1045,7 @@ impl SchedulingUnit {
     /// Pops the next completion at or before cycle `now`: the `Executing`
     /// entry with the earliest `done_at`, oldest position breaking ties.
     /// Stale queue records — squashed entries — are discarded on the way.
+    #[inline(always)]
     pub fn pop_completion(&mut self, now: u64) -> Option<(usize, usize)> {
         if self.comp_head == self.completions.len() {
             self.completions.clear();
@@ -1112,6 +1123,7 @@ impl SchedulingUnit {
 
     /// Indexes the completed, unfaulted store at `(bi, ei)` for
     /// store-to-load forwarding (chains are youngest first).
+    #[inline(always)]
     pub fn fwd_insert(&mut self, bi: usize, ei: usize) {
         let h = self.handle(bi, ei);
         debug_assert_eq!(self.flags[h] & F_FWD_INDEXED, 0, "store indexed twice");
@@ -1161,6 +1173,7 @@ impl SchedulingUnit {
     /// than the load, or a non-speculative other-thread store. `None` means
     /// the caller should fall back to the committed store buffer.
     #[must_use]
+    #[inline(always)]
     pub fn forward_resident(&self, tid: usize, lbid: u64, lei: usize, addr: u64) -> Option<u64> {
         let mut cur = self.fwd_head[fwd_bucket(addr)];
         while cur != NO_SRC {
@@ -1319,6 +1332,7 @@ impl SchedulingUnit {
     /// block of the same thread remains (per-thread in-order commit).
     /// O(window), not O(window × block size): readiness is a popcount.
     #[must_use]
+    #[inline(always)]
     pub fn find_committable(&self, policy: CommitPolicy, window: usize) -> Option<usize> {
         let window = match policy {
             CommitPolicy::LowestOnly => 1,

@@ -54,7 +54,7 @@ fn run_mix_checked(
     let mut sim = Simulator::try_new_mix(cfg, programs).map_err(|e| e.to_string())?;
     let (stats, cpi) = if want_cpi {
         let mut cpi = CpiStack::new(block);
-        let stats = sim.run_traced(&mut cpi).map_err(|e| e.to_string())?;
+        let stats = sim.run_with(&mut cpi).map_err(|e| e.to_string())?;
         (stats, Some(cpi.finish()))
     } else {
         (sim.run().map_err(|e| e.to_string())?, None)

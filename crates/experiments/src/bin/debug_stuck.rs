@@ -45,7 +45,7 @@ fn main() {
             println!("{}", tracer.into_breakdown().render());
             return;
         }
-        sim.step_traced(&mut tracer).unwrap();
+        sim.step_with(&mut tracer).unwrap();
     }
     println!("STUCK at cycle {}:\n{}", sim.cycle(), sim.dump());
     println!(

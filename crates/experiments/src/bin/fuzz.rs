@@ -174,7 +174,7 @@ fn lifecycle_window(program: &Program, frontend: FrontEnd, threads: usize, cycle
     let cap = usize::try_from((end - start + 1) * cfg.block_size as u64).unwrap_or(4096);
     let mut tracer = Tracer::new(cfg.trace_shape(), cap).with_window(start, end);
     let mut sim = Simulator::new(cfg, program);
-    let outcome = sim.run_traced(&mut tracer);
+    let outcome = sim.run_with(&mut tracer);
     let mut out = format!("lifecycle window, instructions decoded in cycles {start}..={end}:\n");
     out.push_str(&tracer.lifecycle.render());
     if let Err(e) = outcome {
@@ -386,7 +386,7 @@ fn lifecycle_window_mix(
         Ok(sim) => sim,
         Err(e) => return format!("(no lifecycle window: mix rebuild failed: {e})\n"),
     };
-    let outcome = sim.run_traced(&mut tracer);
+    let outcome = sim.run_with(&mut tracer);
     let mut out = format!("lifecycle window, instructions decoded in cycles {start}..={end}:\n");
     out.push_str(&tracer.lifecycle.render());
     if let Err(e) = outcome {

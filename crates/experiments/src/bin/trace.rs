@@ -153,7 +153,7 @@ fn main() {
 
     let mut sim = Simulator::new(config, &program);
     let stats = sim
-        .run_traced(&mut tracer)
+        .run_with(&mut tracer)
         .unwrap_or_else(|e| die(&format!("simulation faulted: {e}")));
     w.check(sim.memory().words())
         .unwrap_or_else(|e| die(&format!("architectural result mismatch: {e}")));

@@ -207,7 +207,7 @@ fn execute_cpi(
     let mut sim = Simulator::new(config.clone(), &program);
     let mut cpi = CpiStack::new(config.block_size as u32);
     let stats = sim
-        .run_traced(&mut cpi)
+        .run_with(&mut cpi)
         .unwrap_or_else(|e| panic!("{} under {config:?}: {e}", w.name()));
     w.check(sim.memory().words())
         .unwrap_or_else(|e| panic!("{} under {config:?}: wrong answer: {e}", w.name()));

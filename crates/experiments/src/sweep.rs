@@ -1108,7 +1108,7 @@ impl Scheduler {
                 cell.sim.config().max_cycles
             );
             match cell.cpi.as_mut() {
-                Some(stack) => cell.sim.step_traced(stack),
+                Some(stack) => cell.sim.step_with(stack),
                 None => cell.sim.step(),
             }
             .unwrap_or_else(|e| panic!("{id}: simulation failed: {e}"));

@@ -6,7 +6,7 @@
 //! process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use smt_core::{SimConfig, Simulator};
 use smt_workloads::{workload, Scale, WorkloadKind};
@@ -15,11 +15,20 @@ use smt_workloads::{workload, Scale, WorkloadKind};
 /// — a free implies a matching earlier allocation.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count: the test harness runs the tests on parallel
+    /// threads, and one test's set-up must not count against another's
+    /// measured window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,12 +53,12 @@ fn steady_state_allocs(kind: WorkloadKind, warmup: u64, cycles: u64) -> u64 {
         assert!(!sim.finished(), "workload too short to reach steady state");
         sim.step().expect("steps");
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     for _ in 0..cycles {
         assert!(!sim.finished(), "workload too short to hold steady state");
         sim.step().expect("steps");
     }
-    let n = ALLOCS.load(Ordering::Relaxed) - before;
+    let n = ALLOCS.with(Cell::get) - before;
     println!("{kind:?}: {n} allocation events across {cycles} steady-state cycles");
     n
 }

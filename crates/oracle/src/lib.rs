@@ -6,8 +6,8 @@
 //! one semantics module, so they can only disagree about *which*
 //! instructions retire and *what* they observe — exactly the properties
 //! that squash recovery, store-to-load forwarding, renaming, and fault
-//! precision must preserve. The oracle attaches to a run as a
-//! [`CommitSink`]: at every architecturally retired instruction it steps
+//! precision must preserve. The oracle attaches to a run as an
+//! [`Observer`]: at every architecturally retired instruction it steps
 //! the interpreter's matching thread once and compares
 //!
 //! * the **program counter** (control-flow divergence: a wrong-path commit
@@ -38,7 +38,7 @@
 
 use std::fmt;
 
-use smt_core::{CommitSink, Retirement, SimConfig, SimError, SimStats, Simulator, Snapshot};
+use smt_core::{Observer, Retirement, SimConfig, SimError, SimStats, Simulator, Snapshot};
 use smt_isa::interp::{Interp, InterpError, Progress};
 use smt_isa::semantics::effective_addr;
 use smt_isa::{Opcode, Program, Reg, WORD_BYTES};
@@ -172,7 +172,7 @@ pub struct Report {
 }
 
 /// The lockstep oracle. Attach to a run with
-/// [`Simulator::run_observed`], or use [`verify`] for the whole
+/// [`Simulator::run_with`], or use [`verify`] for the whole
 /// run-and-diff workflow.
 #[derive(Debug)]
 pub struct Oracle<'p> {
@@ -386,7 +386,7 @@ impl<'p> Oracle<'p> {
     }
 }
 
-impl CommitSink for Oracle<'_> {
+impl Observer for Oracle<'_> {
     fn retired(&mut self, r: &Retirement) {
         if self.divergence.is_none() {
             self.check(r);
@@ -450,7 +450,7 @@ pub fn verify(program: &Program, config: SimConfig) -> Result<Report, Box<Diverg
     let mut sim =
         Simulator::try_new(config, program).map_err(|e| harness_divergence(e.to_string()))?;
     let mut oracle = Oracle::new(program, threads, fault_bound);
-    let outcome = sim.run_observed(&mut oracle);
+    let outcome = sim.run_with(&mut oracle);
     conclude(&sim, oracle, outcome)
 }
 
@@ -482,38 +482,46 @@ pub fn verify_with_checkpoints(
     let mut sim = Simulator::try_new(config.clone(), program)
         .map_err(|e| harness_divergence(e.to_string()))?;
     let mut oracle = Oracle::new(program, threads, fault_bound);
-    let outcome = loop {
-        let mut step_error = None;
+    let outcome = run_spliced(&mut sim, &mut oracle, every, |snap| {
+        Simulator::restore(config.clone(), program, snap)
+    })?;
+    conclude(&sim, oracle, outcome)
+}
+
+/// The splice loop of the `*_with_checkpoints` verifiers: runs `sim` under
+/// `obs`, and every `every` cycles replaces it with `restore` of its own
+/// snapshot after an encode/decode round trip. Returns the run outcome;
+/// `sim` is left holding the machine that produced it.
+fn run_spliced<'p, O: Observer>(
+    sim: &mut Simulator<'p>,
+    obs: &mut O,
+    every: u64,
+    restore: impl Fn(&Snapshot) -> Result<Simulator<'p>, SimError>,
+) -> Result<Result<SimStats, SimError>, Box<Divergence>> {
+    loop {
         for _ in 0..every {
             if sim.finished() {
                 break;
             }
             if sim.cycle() >= sim.config().max_cycles {
-                step_error = Some(SimError::Watchdog {
+                return Ok(Err(SimError::Watchdog {
                     cycles: sim.config().max_cycles,
-                });
-                break;
+                }));
             }
-            if let Err(e) = sim.step_observed(&mut oracle) {
-                step_error = Some(e);
-                break;
+            if let Err(e) = sim.step_with(obs) {
+                return Ok(Err(e));
             }
-        }
-        if let Some(e) = step_error {
-            break Err(e);
         }
         if sim.finished() {
             // No cycles left to run: this only finalizes the statistics,
-            // exactly as an uninterrupted `run_observed` would.
-            break sim.run_observed(&mut oracle);
+            // exactly as an uninterrupted `run_with` would.
+            return Ok(sim.run_with(obs));
         }
         let bytes = sim.checkpoint().to_bytes();
         let snap = Snapshot::from_bytes(&bytes)
             .map_err(|e| harness_divergence(format!("snapshot decode: {e}")))?;
-        sim = Simulator::restore(config.clone(), program, &snap)
-            .map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
-    };
-    conclude(&sim, oracle, outcome)
+        *sim = restore(&snap).map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
+    }
 }
 
 /// Lockstep oracle for a heterogeneous program mix: one reference
@@ -608,7 +616,7 @@ impl<'p> MixOracle<'p> {
     }
 }
 
-impl CommitSink for MixOracle<'_> {
+impl Observer for MixOracle<'_> {
     fn retired(&mut self, r: &Retirement) {
         if self.divergence.is_none() {
             let mut local = *r;
@@ -643,7 +651,7 @@ pub fn verify_mix(programs: &[&Program], config: SimConfig) -> Result<Report, Bo
         .map(|t| sim.thread_segment(t).0)
         .collect();
     let mut oracle = MixOracle::new(programs, &bases, fault_bound);
-    let outcome = sim.run_observed(&mut oracle);
+    let outcome = sim.run_with(&mut oracle);
     conclude_mix(&sim, oracle, outcome)
 }
 
@@ -672,35 +680,9 @@ pub fn verify_mix_with_checkpoints(
         .map(|t| sim.thread_segment(t).0)
         .collect();
     let mut oracle = MixOracle::new(programs, &bases, fault_bound);
-    let outcome = loop {
-        let mut step_error = None;
-        for _ in 0..every {
-            if sim.finished() {
-                break;
-            }
-            if sim.cycle() >= sim.config().max_cycles {
-                step_error = Some(SimError::Watchdog {
-                    cycles: sim.config().max_cycles,
-                });
-                break;
-            }
-            if let Err(e) = sim.step_observed(&mut oracle) {
-                step_error = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = step_error {
-            break Err(e);
-        }
-        if sim.finished() {
-            break sim.run_observed(&mut oracle);
-        }
-        let bytes = sim.checkpoint().to_bytes();
-        let snap = Snapshot::from_bytes(&bytes)
-            .map_err(|e| harness_divergence(format!("snapshot decode: {e}")))?;
-        sim = Simulator::restore_mix(config.clone(), programs, &snap)
-            .map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
-    };
+    let outcome = run_spliced(&mut sim, &mut oracle, every, |snap| {
+        Simulator::restore_mix(config.clone(), programs, snap)
+    })?;
     conclude_mix(&sim, oracle, outcome)
 }
 
@@ -1067,13 +1049,13 @@ mod tests {
         let config = SimConfig::default().with_threads(2);
         let mut sim = Simulator::try_new_mix(config.clone(), &[&a, &b]).unwrap();
         struct Capture(Vec<Retirement>);
-        impl CommitSink for Capture {
+        impl Observer for Capture {
             fn retired(&mut self, r: &Retirement) {
                 self.0.push(*r);
             }
         }
         let mut cap = Capture(Vec::new());
-        sim.run_observed(&mut cap).unwrap();
+        sim.run_with(&mut cap).unwrap();
         let bases = [sim.thread_segment(0).0, sim.thread_segment(1).0];
         let mut o = MixOracle::new(&[&a, &b], &bases, 8);
         let mut corrupted = false;
@@ -1172,13 +1154,13 @@ mod tests {
         // prefix, then corrupt the store's address.
         let mut sim = Simulator::new(SimConfig::default().with_threads(1), &p);
         struct Capture(Vec<Retirement>);
-        impl CommitSink for Capture {
+        impl Observer for Capture {
             fn retired(&mut self, r: &Retirement) {
                 self.0.push(*r);
             }
         }
         let mut cap = Capture(Vec::new());
-        sim.run_observed(&mut cap).unwrap();
+        sim.run_with(&mut cap).unwrap();
         let mut o = Oracle::new(&p, 1, 8);
         for r in &cap.0 {
             let mut r = *r;

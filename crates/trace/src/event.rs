@@ -285,20 +285,25 @@ pub enum TraceEvent<'a> {
 
 /// Observer of the pipeline event stream.
 ///
-/// Like `CommitSink` in `smt-core`, a sink observes the machine and cannot
-/// perturb it; a run with any sink installed is bit-identical to one
+/// Every sink is an `smt_core::Observer`, so it observes the machine and
+/// cannot perturb it; a run with any sink installed is bit-identical to one
 /// without (pinned by the cycle-exactness goldens).
 pub trait TraceSink {
+    /// Whether the simulator builds events for this sink. Only the `()`
+    /// sink clears it; the simulator reads it at compile time, so an
+    /// untraced run skips every trace-only computation.
+    const ENABLED: bool = true;
+
     /// Called once per event, in pipeline order within each cycle
     /// (commit → writeback → issue → decode, then the cycle-end marker).
     fn event(&mut self, ev: &TraceEvent<'_>);
 }
 
-/// A sink that discards everything (for overhead measurement).
-#[derive(Default, Clone, Copy, Debug)]
-pub struct NullSink;
+/// The "no sink" sink: receives nothing, because it disables event
+/// construction altogether.
+impl TraceSink for () {
+    const ENABLED: bool = false;
 
-impl TraceSink for NullSink {
     fn event(&mut self, _ev: &TraceEvent<'_>) {}
 }
 

@@ -39,9 +39,7 @@ pub mod occupancy;
 pub mod tracer;
 
 pub use cpi::{CpiBreakdown, CpiStack};
-pub use event::{
-    DecodedSlot, MemKind, NullSink, Occupancy, RetireKind, SlotCause, TraceEvent, TraceSink,
-};
+pub use event::{DecodedSlot, MemKind, Occupancy, RetireKind, SlotCause, TraceEvent, TraceSink};
 pub use hist::Histogram;
 pub use lifecycle::{Fate, InsnRecord, LifecycleRecorder, NEVER};
 pub use occupancy::OccupancyStats;

@@ -10,6 +10,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use smt_checkpoint::{fnv1a, Writer};
 use smt_experiments::sweep::{plant_checkpoint, run_sweep, CellSpec, Grid, SweepOptions};
 use smt_superscalar::core::{FetchPolicy, PredictorKind, Simulator};
 use smt_superscalar::mem::CacheKind;
@@ -181,6 +182,29 @@ fn mid_flight_checkpoints_resume_instead_of_restarting() {
     plant_checkpoint(&dir, &spec, "some-other-version", &sim.checkpoint()).expect("plant snapshot");
     let summary = run_sweep(&grid, &dir, &opts()).expect("sweep runs");
     assert_eq!(summary.resumed, 0, "a version-skewed snapshot is ignored");
+    assert_eq!(summary.executed, 1);
+    assert_eq!(results(&dir), reference);
+
+    // Under the current code version, a snapshot whose header names a
+    // retired format (v3, as older builds wrote) is not decoded even with
+    // a valid checksum: the cell restarts and still matches.
+    let mut stale = sim.checkpoint().to_bytes();
+    stale[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let body = stale.len() - 8;
+    let sum = fnv1a(&stale[..body]);
+    stale[body..].copy_from_slice(&sum.to_le_bytes());
+    let mut file = Writer::new();
+    file.put_bytes(b"test-v1");
+    file.put_bytes(&stale);
+    let dir = scratch("resume-retired-format");
+    fs::create_dir_all(dir.join("ckpt")).expect("create ckpt dir");
+    fs::write(
+        dir.join("ckpt").join("sieve-trr-t4-su32-sa.ckpt"),
+        file.into_bytes(),
+    )
+    .expect("plant snapshot");
+    let summary = run_sweep(&grid, &dir, &opts()).expect("sweep runs");
+    assert_eq!(summary.resumed, 0, "a retired-format snapshot is ignored");
     assert_eq!(summary.executed, 1);
     assert_eq!(results(&dir), reference);
 }

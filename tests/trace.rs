@@ -80,7 +80,7 @@ fn traced_runs_are_bit_identical_to_untraced() {
         };
         let mut tracer = Tracer::new(config.trace_shape(), 256);
         let mut sim = Simulator::new(config, program);
-        let traced = sim.run_traced(&mut tracer).expect("traced runs complete");
+        let traced = sim.run_with(&mut tracer).expect("traced runs complete");
         assert_eq!(
             untraced, traced,
             "{kind:?}/{fetch:?}/{threads}t: tracing must not perturb the machine"
@@ -94,7 +94,7 @@ fn cpi_stack_sums_to_width_times_cycles() {
         let width = config.block_size as u64;
         let mut cpi = CpiStack::new(config.block_size as u32);
         let mut sim = Simulator::new(config, program);
-        let stats = sim.run_traced(&mut cpi).expect("traced runs complete");
+        let stats = sim.run_with(&mut cpi).expect("traced runs complete");
         let b = cpi.finish();
         let point = format!("{kind:?}/{fetch:?}/{threads}t");
         assert_eq!(b.cycles, stats.cycles, "{point}: cycle counts agree");
@@ -129,7 +129,7 @@ fn occupancy_telemetry_samples_every_cycle() {
     let config = SimConfig::default().with_threads(4);
     let mut tracer = Tracer::new(config.trace_shape(), 64);
     let mut sim = Simulator::new(config, &program);
-    let stats = sim.run_traced(&mut tracer).unwrap();
+    let stats = sim.run_with(&mut tracer).unwrap();
     let occ = &tracer.occupancy;
     assert_eq!(occ.su_entries.samples(), stats.cycles);
     assert_eq!(occ.store_buffer.samples(), stats.cycles);
