@@ -31,6 +31,27 @@ pub enum FetchPolicy {
     Icount,
 }
 
+impl FetchPolicy {
+    /// Every policy, in declaration order (sweep-axis iteration).
+    pub const ALL: [FetchPolicy; 4] = [
+        FetchPolicy::TrueRoundRobin,
+        FetchPolicy::MaskedRoundRobin,
+        FetchPolicy::ConditionalSwitch,
+        FetchPolicy::Icount,
+    ];
+
+    /// Short stable identifier for cell ids and exports.
+    #[must_use]
+    pub fn abbrev(self) -> &'static str {
+        match self {
+            FetchPolicy::TrueRoundRobin => "trr",
+            FetchPolicy::MaskedRoundRobin => "mrr",
+            FetchPolicy::ConditionalSwitch => "cs",
+            FetchPolicy::Icount => "ic",
+        }
+    }
+}
+
 impl fmt::Display for FetchPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

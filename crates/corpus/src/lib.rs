@@ -533,10 +533,7 @@ const KNOWN_KEYS: &[&str] = &[
 
 fn load_workload(dir: &Path, section: &Section) -> Result<CorpusWorkload, CorpusError> {
     let name = section.name.as_str();
-    if let Some(kind) = WorkloadKind::ALL
-        .iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-    {
+    if let Some(kind) = WorkloadKind::from_name(name) {
         return Err(invalid(
             name,
             format!("name collides with built-in benchmark {}", kind.name()),

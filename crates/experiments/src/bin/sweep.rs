@@ -8,9 +8,8 @@
 //! from their last snapshot, and the merged `results.json` comes out
 //! byte-identical to an uninterrupted run.
 //!
-//! Workers execute super-jobs of up to `--batch` cells sharing one built
-//! program (default: planner-sized from the grid and worker count);
-//! batching only affects scheduling, never results.
+//! Workers claim one cell at a time off a shared queue; built programs are
+//! memoized per `(workload, threads)`, so each kernel is built once.
 //!
 //! ```text
 //! cargo run --release -p smt-experiments --bin sweep -- --out target/sweep
@@ -43,7 +42,7 @@ use std::time::Instant;
 
 use smt_corpus::Corpus;
 use smt_experiments::explore::{run_search, EvalMode, SearchSpace};
-use smt_experiments::sweep::{run_sweep, Grid, Scheduler, SweepOptions, WorkSpec};
+use smt_experiments::sweep::{run_sweep, Grid, Scheduler, SweepOptions, WorkRef, WorkSpec};
 use smt_search::SearchParams;
 use smt_workloads::Scale;
 
@@ -59,14 +58,8 @@ fn main() {
     let out = PathBuf::from(
         flag_value(&args, "--out").expect("--out <dir> is required (cache and results live there)"),
     );
-    let grid_name = flag_value(&args, "--grid");
-    let grid = match grid_name.as_deref() {
-        None | Some("smoke") => Grid::smoke(),
-        Some("paper") => Grid::paper(),
-        Some("frontend") => Grid::frontend(),
-        Some("hetero") => Grid::hetero(),
-        Some(other) => panic!("--grid takes smoke|paper|frontend|hetero, not {other}"),
-    };
+    let grid = Grid::named(flag_value(&args, "--grid").as_deref().unwrap_or("smoke"))
+        .unwrap_or_else(|e| panic!("--grid: {e}"));
     let scale = match flag_value(&args, "--scale").as_deref() {
         None | Some("test") => Scale::Test,
         Some("paper") => Scale::Paper,
@@ -85,23 +78,21 @@ fn main() {
         assert!(n > 0, "--checkpoint-every takes a positive cycle count");
         opts.checkpoint_every = Some(n);
     }
-    // Cells per super-job; unset, the planner sizes jobs from the grid and
-    // worker count. `--batch 1` forces strictly per-cell execution.
-    if let Some(b) = flag_value(&args, "--batch") {
-        let b: usize = b.parse().expect("--batch takes a positive cell count");
-        assert!(b > 0, "--batch takes a positive cell count");
-        opts.batch = Some(b);
-    }
     // Normally the crate version; overridable so the stale-cache path can
     // be exercised from the command line.
     if let Some(v) = flag_value(&args, "--code-version") {
         opts.code_version = v;
     }
-    // The hetero grid names corpus kernels, so it defaults the corpus to
-    // the repository's `corpus/` directory; any grid accepts an explicit
-    // `--corpus <dir>`.
-    let corpus_dir = flag_value(&args, "--corpus")
-        .or_else(|| matches!(grid_name.as_deref(), Some("hetero")).then(|| "corpus".to_string()));
+    // A grid that names corpus kernels (the hetero grid) defaults the
+    // corpus to the repository's `corpus/` directory; any grid accepts an
+    // explicit `--corpus <dir>`.
+    let names_corpus = grid
+        .workloads
+        .iter()
+        .flat_map(WorkSpec::refs)
+        .any(|r| matches!(r, WorkRef::Corpus(_)));
+    let corpus_dir =
+        flag_value(&args, "--corpus").or_else(|| names_corpus.then(|| "corpus".to_string()));
     if let Some(dir) = corpus_dir {
         let corpus = Corpus::load(&dir)
             .unwrap_or_else(|e| panic!("--corpus {dir}: cannot load the workload corpus: {e}"));
@@ -113,18 +104,11 @@ fn main() {
         let threads: usize = flag_value(&args, "--threads").map_or(4, |t| {
             t.parse().expect("--threads takes a positive integer")
         });
-        let space = match flag_value(&args, "--space").as_deref() {
-            None | Some("smoke") => SearchSpace::smoke(work, threads),
-            Some("full") => SearchSpace::full(work, threads),
-            Some(other) => panic!("--space takes smoke|full, not {other}"),
-        };
-        let warmup: u64 = flag_value(&args, "--warmup")
-            .map_or(20_000, |w| w.parse().expect("--warmup takes a cycle count"));
-        let mode = if warmup == 0 {
-            EvalMode::Full
-        } else {
-            EvalMode::Warm { warmup }
-        };
+        let space = SearchSpace::named(flag_value(&args, "--space").as_deref(), work, threads)
+            .unwrap_or_else(|e| panic!("--space: {e}"));
+        let mode = EvalMode::from_warmup(
+            flag_value(&args, "--warmup").map(|w| w.parse().expect("--warmup takes a cycle count")),
+        );
         let params = SearchParams {
             seed: flag_value(&args, "--seed")
                 .map_or(0, |s| s.parse().expect("--seed takes an integer")),
@@ -169,12 +153,11 @@ fn main() {
     );
     println!(
         "sweep: {} cells, {} simulated cycles in {secs:.2}s = {:.2} Mcycles/s \
-         ({} cache hits, batch={})",
+         ({} cache hits)",
         summary.total,
         summary.simulated_cycles,
         summary.simulated_cycles as f64 / secs / 1.0e6,
         summary.cached,
-        summary.batch,
     );
     println!("sweep: results at {}", summary.results_path.display());
 }

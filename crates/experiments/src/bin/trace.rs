@@ -35,20 +35,17 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_workload(name: &str) -> WorkloadKind {
-    WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-        .unwrap_or_else(|| {
-            let names: Vec<&str> = WorkloadKind::ALL.iter().map(|k| k.name()).collect();
-            die(&format!(
-                "unknown workload `{name}` (expected one of {})",
-                names.join(", ")
-            ))
-        })
+fn workload_flag(name: &str) -> WorkloadKind {
+    WorkloadKind::from_name(name).unwrap_or_else(|| {
+        let names: Vec<&str> = WorkloadKind::ALL.iter().map(|k| k.name()).collect();
+        die(&format!(
+            "unknown workload `{name}` (expected one of {})",
+            names.join(", ")
+        ))
+    })
 }
 
-fn parse_policy(name: &str) -> FetchPolicy {
+fn policy_flag(name: &str) -> FetchPolicy {
     match name.to_ascii_lowercase().as_str() {
         "trr" | "true-round-robin" => FetchPolicy::TrueRoundRobin,
         "mrr" | "masked-round-robin" => FetchPolicy::MaskedRoundRobin,
@@ -60,7 +57,7 @@ fn parse_policy(name: &str) -> FetchPolicy {
     }
 }
 
-fn parse_predictor(name: &str) -> PredictorKind {
+fn predictor_flag(name: &str) -> PredictorKind {
     match name.to_ascii_lowercase().as_str() {
         "shared" | "shared-btb" => PredictorKind::SharedBtb,
         "gshare" => PredictorKind::Gshare,
@@ -98,8 +95,8 @@ const DEFAULT_CAP: usize = 1 << 20;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind = parse_workload(&flag_value(&args, "--workload").unwrap_or_else(|| "matrix".into()));
-    let policy = parse_policy(&flag_value(&args, "--policy").unwrap_or_else(|| "trr".into()));
+    let kind = workload_flag(&flag_value(&args, "--workload").unwrap_or_else(|| "matrix".into()));
+    let policy = policy_flag(&flag_value(&args, "--policy").unwrap_or_else(|| "trr".into()));
     let threads: usize = flag_value(&args, "--threads").map_or(4, |s| {
         s.parse()
             .unwrap_or_else(|_| die("--threads takes a positive integer"))
@@ -126,7 +123,7 @@ fn main() {
         ))
     });
     let predictor =
-        flag_value(&args, "--predictor").map_or(PredictorKind::SharedBtb, |s| parse_predictor(&s));
+        flag_value(&args, "--predictor").map_or(PredictorKind::SharedBtb, |s| predictor_flag(&s));
     let fetch_threads: usize = flag_value(&args, "--fetch-threads").map_or(1, |s| {
         s.parse()
             .unwrap_or_else(|_| die("--fetch-threads takes a positive integer"))

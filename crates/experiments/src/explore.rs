@@ -49,8 +49,15 @@ use smt_mem::CacheKind;
 use smt_search::{Axis, Evaluation, Objectives, SearchOutcome, SearchParams};
 
 use crate::json::object_to_json;
-use crate::sweep::{write_atomic, CellRecord, CellSpec, CellStatus, Scheduler, WorkSpec};
+use crate::sweep::{
+    lookup, lowering_failure, write_atomic, Built, CellRecord, CellSpec, CellStatus, Grid, Level,
+    Scheduler, WorkSpec, AXES,
+};
 use crate::Cell;
+
+/// Warmup a search runs when none is named: canonical-machine cycles
+/// before the shared warm snapshot.
+pub const DEFAULT_WARMUP: u64 = 20_000;
 
 /// How a point's IPC is measured.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,6 +72,19 @@ pub enum EvalMode {
     },
 }
 
+impl EvalMode {
+    /// The mode a requested warmup selects: warm-forked after `warmup`
+    /// cycles ([`DEFAULT_WARMUP`] when none is named), or exact cold runs
+    /// when it is 0.
+    #[must_use]
+    pub fn from_warmup(warmup: Option<u64>) -> Self {
+        match warmup.unwrap_or(DEFAULT_WARMUP) {
+            0 => EvalMode::Full,
+            warmup => EvalMode::Warm { warmup },
+        }
+    }
+}
+
 impl fmt::Display for EvalMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -74,49 +94,37 @@ impl fmt::Display for EvalMode {
     }
 }
 
-/// The searched region: one workload at one thread count, crossed with
-/// the microarchitectural axes. Thread count is deliberately *not* an
-/// axis — warm forking shares architectural state, which is only valid
-/// across configurations with identical software-visible shape.
-#[derive(Clone, PartialEq, Debug)]
+/// The grid axes a search moves along, as indices into
+/// [`CellSpec::levels`]: every axis but the workload and the thread count.
+const SEARCHED: [usize; 7] = [1, 2, 4, 5, 6, 7, 8];
+
+/// The searched region: a [`Grid`] of one workload at one thread count,
+/// whose other axes the search moves along. Thread count is deliberately
+/// *not* searched — warm forking shares architectural state, which is
+/// only valid across configurations with identical software-visible
+/// shape.
+#[derive(Clone, Debug)]
 pub struct SearchSpace {
-    /// What every point runs.
-    pub work: WorkSpec,
-    /// Resident threads (fixed across the space).
-    pub threads: usize,
-    /// Fetch-policy levels.
-    pub policies: Vec<FetchPolicy>,
-    /// Predictor-family levels.
-    pub predictors: Vec<PredictorKind>,
-    /// Fetch-port levels.
-    pub fetch_threads: Vec<usize>,
-    /// Fetch-width levels.
-    pub fetch_widths: Vec<usize>,
-    /// Scheduling-unit depth levels.
-    pub su_depths: Vec<usize>,
-    /// Cache-organization levels.
-    pub caches: Vec<CacheKind>,
-    /// Speculation-depth-limit levels (0 = unlimited).
-    pub spec_depths: Vec<usize>,
-}
-
-fn policy_abbrev(p: FetchPolicy) -> &'static str {
-    match p {
-        FetchPolicy::TrueRoundRobin => "trr",
-        FetchPolicy::MaskedRoundRobin => "mrr",
-        FetchPolicy::ConditionalSwitch => "cs",
-        FetchPolicy::Icount => "ic",
-    }
-}
-
-fn cache_abbrev(c: CacheKind) -> &'static str {
-    match c {
-        CacheKind::SetAssociative => "sa",
-        CacheKind::DirectMapped => "dm",
-    }
+    /// The levels of every axis; `workloads` and `threads` hold one each.
+    pub grid: Grid,
 }
 
 impl SearchSpace {
+    /// The region called `name` (the smoke region when `None`) around
+    /// `work` at `threads`, as `sweep --space` and the serve protocol spell
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with the valid ones.
+    pub fn named(name: Option<&str>, work: WorkSpec, threads: usize) -> Result<Self, String> {
+        let presets = [
+            ("smoke", SearchSpace::smoke(work.clone(), threads)),
+            ("full", SearchSpace::full(work, threads)),
+        ];
+        lookup("space", presets, name.unwrap_or("smoke"))
+    }
+
     /// The full exploration region around the paper machine: every
     /// policy and predictor, one or two fetch ports, 4/8-wide fetch,
     /// three scheduling-unit depths, both cache organizations, and
@@ -125,20 +133,17 @@ impl SearchSpace {
     #[must_use]
     pub fn full(work: WorkSpec, threads: usize) -> Self {
         SearchSpace {
-            work,
-            threads,
-            policies: vec![
-                FetchPolicy::TrueRoundRobin,
-                FetchPolicy::MaskedRoundRobin,
-                FetchPolicy::ConditionalSwitch,
-                FetchPolicy::Icount,
-            ],
-            predictors: PredictorKind::ALL.to_vec(),
-            fetch_threads: vec![1, 2],
-            fetch_widths: vec![4, 8],
-            su_depths: vec![16, 32, 48],
-            caches: vec![CacheKind::SetAssociative, CacheKind::DirectMapped],
-            spec_depths: vec![0, 2, 4],
+            grid: Grid {
+                workloads: vec![work],
+                policies: FetchPolicy::ALL.to_vec(),
+                predictors: PredictorKind::ALL.to_vec(),
+                threads: vec![threads],
+                fetch_threads: vec![1, 2],
+                fetch_widths: vec![4, 8],
+                su_depths: vec![16, 32, 48],
+                caches: CacheKind::ALL.to_vec(),
+                spec_depths: vec![0, 2, 4],
+            },
         }
     }
 
@@ -148,16 +153,30 @@ impl SearchSpace {
     #[must_use]
     pub fn smoke(work: WorkSpec, threads: usize) -> Self {
         SearchSpace {
-            work,
-            threads,
-            policies: vec![FetchPolicy::TrueRoundRobin, FetchPolicy::Icount],
-            predictors: vec![PredictorKind::SharedBtb],
-            fetch_threads: vec![1],
-            fetch_widths: vec![defaults::FETCH_WIDTH],
-            su_depths: vec![16, 32],
-            caches: vec![CacheKind::SetAssociative, CacheKind::DirectMapped],
-            spec_depths: vec![0, 2],
+            grid: Grid {
+                workloads: vec![work],
+                policies: vec![FetchPolicy::TrueRoundRobin, FetchPolicy::Icount],
+                predictors: vec![PredictorKind::SharedBtb],
+                threads: vec![threads],
+                fetch_threads: vec![1],
+                fetch_widths: vec![defaults::FETCH_WIDTH],
+                su_depths: vec![16, 32],
+                caches: CacheKind::ALL.to_vec(),
+                spec_depths: vec![0, 2],
+            },
         }
+    }
+
+    /// What every point runs.
+    #[must_use]
+    pub fn work(&self) -> &WorkSpec {
+        &self.grid.workloads[0]
+    }
+
+    /// Resident threads, fixed across the space.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.grid.threads[0]
     }
 
     /// The axes in engine form, in the fixed order [`spec_at`]
@@ -165,66 +184,40 @@ impl SearchSpace {
     /// width, SU depth, cache, speculation depth.
     #[must_use]
     pub fn axes(&self) -> Vec<Axis> {
-        let nums = |name: &str, v: &[usize]| Axis {
-            name: name.to_string(),
-            levels: v.iter().map(ToString::to_string).collect(),
-        };
-        vec![
-            Axis::new(
-                "policy",
-                &self
-                    .policies
-                    .iter()
-                    .map(|&p| policy_abbrev(p))
-                    .collect::<Vec<_>>(),
-            ),
-            Axis::new(
-                "predictor",
-                &self
-                    .predictors
-                    .iter()
-                    .map(|p| p.abbrev())
-                    .collect::<Vec<_>>(),
-            ),
-            nums("fetch_threads", &self.fetch_threads),
-            nums("fetch_width", &self.fetch_widths),
-            nums("su_depth", &self.su_depths),
-            Axis::new(
-                "cache",
-                &self
-                    .caches
-                    .iter()
-                    .map(|&c| cache_abbrev(c))
-                    .collect::<Vec<_>>(),
-            ),
-            nums("spec_depth", &self.spec_depths),
-        ]
+        SEARCHED
+            .iter()
+            .map(|&axis| {
+                let (name, levels) = self.grid.axis(axis);
+                Axis {
+                    name: name.to_string(),
+                    levels: levels.iter().map(Level::to_string).collect(),
+                }
+            })
+            .collect()
     }
 
     /// Materializes the cell at one point (level index per axis, in
     /// [`axes`](Self::axes) order).
     #[must_use]
     pub fn spec_at(&self, point: &[usize]) -> CellSpec {
-        assert_eq!(point.len(), 7, "a point indexes all seven axes");
-        CellSpec {
-            work: self.work.clone(),
-            policy: self.policies[point[0]],
-            predictor: self.predictors[point[1]],
-            threads: self.threads,
-            fetch_threads: self.fetch_threads[point[2]],
-            fetch_width: self.fetch_widths[point[3]],
-            su_depth: self.su_depths[point[4]],
-            cache: self.caches[point[5]],
-            spec_depth: self.spec_depths[point[6]],
+        assert_eq!(
+            point.len(),
+            SEARCHED.len(),
+            "a point indexes all seven axes"
+        );
+        let mut choice = [0; AXES];
+        for (&axis, &level) in SEARCHED.iter().zip(point) {
+            choice[axis] = level;
         }
+        self.grid.spec(&choice)
     }
 
     /// IPC ceiling for scalarization: no machine retires more than its
     /// total fetch bandwidth per cycle.
     #[must_use]
     pub fn value_bound(&self) -> f64 {
-        let width = self.fetch_widths.iter().copied().max().unwrap_or(1);
-        let ports = self.fetch_threads.iter().copied().max().unwrap_or(1);
+        let width = self.grid.fetch_widths.iter().copied().max().unwrap_or(1);
+        let ports = self.grid.fetch_threads.iter().copied().max().unwrap_or(1);
         (width * ports) as f64
     }
 
@@ -232,19 +225,11 @@ impl SearchSpace {
     /// per dimension, so maximizing each axis independently is exact.
     #[must_use]
     pub fn cost_bound(&self) -> f64 {
-        let lens = [
-            self.policies.len(),
-            self.predictors.len(),
-            self.fetch_threads.len(),
-            self.fetch_widths.len(),
-            self.su_depths.len(),
-            self.caches.len(),
-            self.spec_depths.len(),
-        ];
-        let mut point = vec![0usize; lens.len()];
-        for (ai, &len) in lens.iter().enumerate() {
+        let lens = self.grid.lens();
+        let mut point = vec![0usize; SEARCHED.len()];
+        for (ai, &axis) in SEARCHED.iter().enumerate() {
             let mut best = (0, f64::NEG_INFINITY);
-            for level in 0..len {
+            for level in 0..lens[axis] {
                 point[ai] = level;
                 let cost = hardware_cost(&self.spec_at(&point));
                 if cost > best.1 {
@@ -348,6 +333,7 @@ pub struct Explorer<'a> {
     /// fixed across the space).
     warm_snap: Option<Snapshot>,
     records: BTreeMap<Vec<usize>, (CellSpec, CellRecord)>,
+    simulated: usize,
 }
 
 impl<'a> Explorer<'a> {
@@ -366,6 +352,7 @@ impl<'a> Explorer<'a> {
             mode,
             warm_snap: None,
             records: BTreeMap::new(),
+            simulated: 0,
         })
     }
 
@@ -384,10 +371,14 @@ impl<'a> Explorer<'a> {
     /// architectural answer — approximation must never corrupt results.
     pub fn objectives(&mut self, point: &[usize]) -> Objectives {
         let spec = self.space.spec_at(point);
-        let rec = match self.mode {
-            EvalMode::Full => self.full_record(&spec),
+        let (rec, ran) = match self.mode {
+            EvalMode::Full => {
+                let o = self.sched.run_cell(&spec, false, &mut |_| {});
+                (o.rec, o.ran)
+            }
             EvalMode::Warm { warmup } => self.warm_record(&spec, warmup),
         };
+        self.simulated += usize::from(ran);
         let o = Objectives {
             value: rec.ipc,
             cost: hardware_cost(&spec),
@@ -404,53 +395,63 @@ impl<'a> Explorer<'a> {
         self.records.get(point)
     }
 
-    fn full_record(&self, spec: &CellSpec) -> CellRecord {
-        self.sched.run_cell(spec, false, &mut |_| {}).rec
+    /// How many evaluations produced their record (by simulation, or by
+    /// finding the point infeasible) rather than reading it from the
+    /// store.
+    #[must_use]
+    pub fn simulated(&self) -> usize {
+        self.simulated
     }
 
     /// One warm-forked measurement, cache-first against the warm
-    /// namespace under the same full key as the exact store.
-    fn warm_record(&mut self, spec: &CellSpec, warmup: u64) -> CellRecord {
+    /// namespace under the same full key as the exact store. Returns the
+    /// record and whether it was produced rather than read.
+    fn warm_record(&mut self, spec: &CellSpec, warmup: u64) -> (CellRecord, bool) {
         let wid = format!("{}@w{warmup}", spec.id());
         let path = warm_cells_dir(self.sched.out()).join(format!("{wid}.cell"));
-        let code_version = self.sched.opts().code_version.clone();
         let (config_hash, program_hash, built) = self.sched.identities(spec);
-        if let Some(rec) = fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| CellRecord::parse(&text))
-            .filter(|rec| {
-                rec.id == wid
-                    && rec.code_version == code_version
-                    && rec.config_hash == config_hash
-                    && rec.program_hash == program_hash
-            })
+        if let Some(rec) = self
+            .sched
+            .load_record(&path, &wid, config_hash, program_hash)
         {
-            return rec;
+            return (rec, false);
         }
-        let programs = match built.as_ref() {
-            Err(e) => {
-                let rec = crate::sweep::infeasible_record(
-                    spec,
-                    &code_version,
-                    config_hash,
-                    0,
-                    format!("kernel does not lower at {} threads: {e}", spec.threads),
-                );
-                return self.persist_warm(&path, wid, rec);
-            }
-            Ok(ps) => ps.clone(),
+        let rec = self.measure_warm(spec, &wid, warmup, (config_hash, program_hash), &built);
+        write_atomic(&path, rec.to_lines().as_bytes())
+            .unwrap_or_else(|e| panic!("{wid}: cannot persist warm cell: {e}"));
+        (rec, true)
+    }
+
+    /// Forks `spec` from the shared warm snapshot and measures its
+    /// window, or records why it cannot.
+    fn measure_warm(
+        &mut self,
+        spec: &CellSpec,
+        wid: &str,
+        warmup: u64,
+        (config_hash, program_hash): (u64, u64),
+        built: &Built,
+    ) -> CellRecord {
+        let sched = self.sched;
+        let code_version = &sched.opts().code_version;
+        let infeasible = |program_hash, reason| {
+            CellRecord::infeasible(wid, code_version, config_hash, program_hash, reason)
         };
-        let snap = match self.shared_warm(&programs, warmup) {
+        let programs = match built.as_ref() {
+            Err(e) => return infeasible(0, lowering_failure(spec.threads, e)),
+            Ok(ps) => ps,
+        };
+        let snap = match self.shared_warm(programs, warmup) {
             Ok(snap) => snap,
             Err(why) => {
                 // The kernel is too short (or otherwise unable) to warm:
                 // fall back to the exact cold run, re-recorded under the
                 // warm id so the trajectory stays self-contained. The
                 // fallback reason travels in the record.
-                let mut rec = self.full_record(spec);
-                rec.id.clone_from(&wid);
+                let mut rec = sched.run_cell(spec, false, &mut |_| {}).rec;
+                rec.id = wid.to_string();
                 rec.reason = format!("warm fallback: {why}");
-                return self.persist_warm(&path, wid, rec);
+                return rec;
             }
         };
         let refs: Vec<&Program> = programs.iter().collect();
@@ -461,44 +462,20 @@ impl<'a> Explorer<'a> {
         let mut sim = match forked {
             Ok(sim) => sim,
             Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
-                let rec = crate::sweep::infeasible_record(
-                    spec,
-                    &code_version,
-                    config_hash,
-                    program_hash,
-                    e.to_string(),
-                );
-                return self.persist_warm(&path, wid, rec);
+                return infeasible(program_hash, e.to_string());
             }
             Err(e) => panic!("{wid}: warm fork rejected: {e}"),
         };
         let stats = sim
             .run()
             .unwrap_or_else(|e| panic!("{wid}: measurement window failed: {e}"));
-        self.verify(&wid, spec, &sim);
-        let rec = CellRecord {
-            id: wid.clone(),
-            code_version,
-            config_hash,
-            program_hash,
-            status: CellStatus::Done,
-            // Measurement-window numbers only: the fork starts its cycle
-            // and stat counters at zero, so these exclude the warmup.
-            cycles: stats.cycles,
-            committed: stats.committed_total(),
-            ipc: stats.ipc(),
-            hit_rate: stats.cache.hit_rate(),
-            branch_accuracy: stats.branches.accuracy(),
-            su_stalls: stats.su_stall_cycles,
-            reason: String::new(),
-        };
-        self.persist_warm(&path, wid, rec)
-    }
-
-    fn persist_warm(&self, path: &Path, wid: String, rec: CellRecord) -> CellRecord {
-        write_atomic(path, rec.to_lines().as_bytes())
-            .unwrap_or_else(|e| panic!("{wid}: cannot persist warm cell: {e}"));
-        rec
+        // The warm path approximates *measurement*, never correctness.
+        sched
+            .check_answer(&spec.work, &sim)
+            .unwrap_or_else(|e| panic!("{wid}: wrong answer after warm fork: {e}"));
+        // Measurement-window numbers only: the fork starts its cycle and
+        // stat counters at zero, so these exclude the warmup.
+        CellRecord::done(wid, code_version, config_hash, program_hash, &stats)
     }
 
     /// The shared warm snapshot for this space's `(work, threads)`,
@@ -510,15 +487,15 @@ impl<'a> Explorer<'a> {
         let code_version = &self.sched.opts().code_version;
         let path = warm_snap_dir(self.sched.out()).join(format!(
             "{}-t{}-w{warmup}.warm",
-            self.space.work.id_part(),
-            self.space.threads
+            self.space.work().id_part(),
+            self.space.threads()
         ));
         let expected = expected_identities(programs);
         let snap =
             match load_warm(&path, code_version, warmup).filter(|s| s.program_hashes == expected) {
                 Some(snap) => snap,
                 None => {
-                    let snap = make_warm(programs, self.space.threads, warmup)?;
+                    let snap = make_warm(programs, self.space.threads(), warmup)?;
                     save_warm(&path, code_version, warmup, &snap)
                         .map_err(|e| format!("cannot persist warm snapshot: {e}"))?;
                     snap
@@ -526,26 +503,6 @@ impl<'a> Explorer<'a> {
             };
         self.warm_snap = Some(snap.clone());
         Ok(snap)
-    }
-
-    /// Re-verifies a forked run's architectural answer, per tenant
-    /// segment for mixes — the warm path approximates *measurement*,
-    /// never correctness.
-    fn verify(&self, wid: &str, spec: &CellSpec, sim: &Simulator<'_>) {
-        let words = sim.memory().words();
-        if spec.work.is_mix() {
-            for (tid, r) in spec.work.refs().iter().enumerate() {
-                let (base, span) = sim.thread_segment(tid);
-                let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
-                self.sched.check_ref(r, local).unwrap_or_else(|e| {
-                    panic!("{wid}: thread {tid} wrong answer after warm fork: {e}")
-                });
-            }
-        } else {
-            self.sched
-                .check_ref(&spec.work.refs()[0], words)
-                .unwrap_or_else(|e| panic!("{wid}: wrong answer after warm fork: {e}"));
-        }
     }
 }
 
@@ -587,6 +544,9 @@ pub struct SearchReport {
     /// The digest the trajectory artifact embeds — equal across runs
     /// iff the artifacts are byte-equal.
     pub trajectory_hash: u64,
+    /// Evaluations that produced their record rather than reading it
+    /// from the store ([`Explorer::simulated`]).
+    pub simulated: usize,
 }
 
 /// Renders the frontier report: one JSON object per frontier cell, in
@@ -596,22 +556,21 @@ pub struct SearchReport {
 pub fn frontier_json(frontier: &[(CellSpec, CellRecord)]) -> String {
     let mut out = String::from("[\n");
     for (i, (spec, rec)) in frontier.iter().enumerate() {
-        out.push_str(&object_to_json(&[
-            ("id", Cell::Text(rec.id.clone())),
-            ("workload", Cell::Text(spec.work.name())),
-            ("policy", Cell::Text(policy_abbrev(spec.policy).into())),
-            ("predictor", Cell::Text(spec.predictor.abbrev().into())),
-            ("threads", Cell::Int(spec.threads as u64)),
-            ("fetch_threads", Cell::Int(spec.fetch_threads as u64)),
-            ("fetch_width", Cell::Int(spec.fetch_width as u64)),
-            ("su_depth", Cell::Int(spec.su_depth as u64)),
-            ("cache", Cell::Text(cache_abbrev(spec.cache).into())),
-            ("spec_depth", Cell::Int(spec.spec_depth as u64)),
+        let mut fields = vec![("id", Cell::Text(rec.id.clone()))];
+        fields.extend(spec.levels().map(|(axis, level)| {
+            let cell = match level {
+                Level::Name(name) => Cell::Text(name),
+                Level::Count(n) => Cell::Int(n as u64),
+            };
+            (axis, cell)
+        }));
+        fields.extend([
             ("ipc", Cell::Float(rec.ipc)),
             ("cost", Cell::Float(hardware_cost(spec))),
             ("cycles", Cell::Int(rec.cycles)),
             ("committed", Cell::Int(rec.committed)),
-        ]));
+        ]);
+        out.push_str(&object_to_json(&fields));
         out.push_str(if i + 1 < frontier.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");
@@ -661,6 +620,7 @@ pub fn run_search(
     write_atomic(&frontier_path, frontier_json(&frontier).as_bytes())?;
     Ok(SearchReport {
         trajectory_hash: smt_search::trajectory_digest(&axes, &params, &outcome),
+        simulated: explorer.simulated(),
         outcome,
         frontier,
         trajectory_path,
@@ -697,11 +657,41 @@ mod tests {
 
     #[test]
     fn axes_and_points_map_onto_cells() {
+        // Axis names, level strings and their order are embedded in every
+        // trajectory artifact and its digest.
+        let spelled = |s: &SearchSpace| -> Vec<(String, Vec<String>)> {
+            s.axes().into_iter().map(|a| (a.name, a.levels)).collect()
+        };
+        let expect = |axes: &[(&str, &[&str])]| -> Vec<(String, Vec<String>)> {
+            axes.iter()
+                .map(|(n, l)| (n.to_string(), l.iter().map(ToString::to_string).collect()))
+                .collect()
+        };
+        assert_eq!(
+            spelled(&SearchSpace::full(WorkloadKind::Matrix.into(), 4)),
+            expect(&[
+                ("policy", &["trr", "mrr", "cs", "ic"]),
+                ("predictor", &["btb", "gsh", "pbtb"]),
+                ("fetch_threads", &["1", "2"]),
+                ("fetch_width", &["4", "8"]),
+                ("su_depth", &["16", "32", "48"]),
+                ("cache", &["sa", "dm"]),
+                ("spec_depth", &["0", "2", "4"]),
+            ])
+        );
         let s = space();
-        let axes = s.axes();
-        assert_eq!(axes.len(), 7);
-        assert_eq!(axes[0].levels, ["trr", "ic"]);
-        assert_eq!(axes[4].levels, ["16", "32"]);
+        assert_eq!(
+            spelled(&s),
+            expect(&[
+                ("policy", &["trr", "ic"]),
+                ("predictor", &["btb"]),
+                ("fetch_threads", &["1"]),
+                ("fetch_width", &["4"]),
+                ("su_depth", &["16", "32"]),
+                ("cache", &["sa", "dm"]),
+                ("spec_depth", &["0", "2"]),
+            ])
+        );
         let spec = s.spec_at(&[1, 0, 0, 0, 1, 1, 1]);
         assert_eq!(spec.policy, FetchPolicy::Icount);
         assert_eq!(spec.su_depth, 32);

@@ -1,14 +1,16 @@
 //! Resumable parallel design-space sweep.
 //!
-//! A [`Grid`] declares the swept dimensions (workload × fetch policy ×
-//! thread count × scheduling-unit depth × cache geometry); [`run_sweep`]
-//! flattens it into cells and runs them across work-stealing workers. Every
-//! finished cell is persisted to a content-addressed on-disk cache keyed by
-//! the *identity* of the work — the stable hashes of the lowered
-//! configuration and built program plus the code version — so re-running
-//! the same sweep over the same directory re-executes only cells that are
-//! missing or whose key no longer matches. The cache fails closed: a record
-//! whose key or payload does not validate is discarded and its cell re-run.
+//! A [`Grid`] declares the swept dimensions: the workload and the machine
+//! axes of [`CellSpec::levels`] (fetch policy, predictor, threads, fetch
+//! ports, fetch width, scheduling-unit depth, cache organization,
+//! speculation depth). [`run_sweep`] flattens it into cells and runs them
+//! across work-stealing workers. Every finished cell is persisted to a
+//! content-addressed on-disk cache keyed by the *identity* of the work —
+//! the stable hashes of the lowered configuration and built program plus
+//! the code version — so re-running the same sweep over the same directory
+//! re-executes only cells that are missing or whose key no longer matches.
+//! The cache fails closed: a record whose key or payload does not validate
+//! is discarded and its cell re-run.
 //!
 //! Long simulations additionally checkpoint their machine state every
 //! `checkpoint_every` cycles (atomic tmp+rename, like every other write
@@ -22,27 +24,23 @@
 //! ([`SimError::RegisterWindow`]), are recorded as `infeasible` rather than
 //! aborting the sweep — the design space legitimately contains such points.
 //!
-//! Execution is *batched*: the flat cell list is planned into super-jobs of
-//! up to `batch` cells that share one `(workload, threads)` pair — and
-//! therefore one predecoded [`Program`] — and each worker interleaves the
-//! `step()` loops of its super-job's cells in fixed quanta. Workers steal
-//! whole super-jobs, so the grid costs one program build and one queue
-//! claim per group instead of per cell. Batching is pure scheduling: every
-//! cell still simulates on its own `Simulator`, so `results.json` and every
-//! cache entry are byte-identical whatever `batch` is.
+//! Every cell runs through [`Scheduler::run_cell`], whoever asks: the
+//! workers of [`run_sweep`] claim one cell at a time, and the serve daemon
+//! and the Pareto search call it per cell too. Kernels are memoized by
+//! `(workload, threads)`, so a grid still builds each program once.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::{fmt, fs};
 
 use smt_checkpoint::{Reader, Writer};
 use smt_core::config::defaults;
 use smt_core::{
-    config_identity, program_identity, FetchPolicy, PredictorKind, SimConfig, SimError, Simulator,
-    Snapshot,
+    config_identity, program_identity, FetchPolicy, PredictorKind, SimConfig, SimError, SimStats,
+    Simulator, Snapshot,
 };
 use smt_corpus::Corpus;
 use smt_isa::Program;
@@ -88,11 +86,8 @@ impl WorkRef {
     ///
     /// An explanation when `s` is neither.
     pub fn parse(s: &str) -> Result<WorkRef, String> {
-        if let Some(kind) = WorkloadKind::ALL
-            .iter()
-            .find(|k| k.name().eq_ignore_ascii_case(s))
-        {
-            return Ok(WorkRef::Builtin(*kind));
+        if let Some(kind) = WorkloadKind::from_name(s) {
+            return Ok(WorkRef::Builtin(kind));
         }
         if smt_corpus::manifest::valid_name(s) {
             return Ok(WorkRef::Corpus(s.to_string()));
@@ -226,7 +221,44 @@ pub struct Grid {
     pub spec_depths: Vec<usize>,
 }
 
+/// The option `options` spells `s`. The error names what was looked up
+/// and lists every valid spelling.
+///
+/// # Errors
+///
+/// `s` spells none of the options.
+pub fn lookup<T>(
+    what: &str,
+    options: impl IntoIterator<Item = (&'static str, T)>,
+    s: &str,
+) -> Result<T, String> {
+    let mut names = Vec::new();
+    for (name, option) in options {
+        if name == s {
+            return Ok(option);
+        }
+        names.push(name);
+    }
+    Err(format!("unknown {what} {s:?} ({})", names.join("|")))
+}
+
 impl Grid {
+    /// The preset called `name`, as `sweep --grid` and the serve protocol
+    /// spell them.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with the valid ones.
+    pub fn named(name: &str) -> Result<Grid, String> {
+        let presets = [
+            ("smoke", Grid::smoke()),
+            ("paper", Grid::paper()),
+            ("frontend", Grid::frontend()),
+            ("hetero", Grid::hetero()),
+        ];
+        lookup("grid", presets, name)
+    }
+
     /// Small grid for CI smoke runs: two benchmarks across every policy and
     /// thread count at the default machine point (24 cells, including the
     /// infeasible 8-thread corners if a kernel does not fit the partition).
@@ -256,7 +288,7 @@ impl Grid {
             fetch_threads: vec![1],
             fetch_widths: vec![defaults::FETCH_WIDTH],
             su_depths: vec![16, 32, 48],
-            caches: vec![CacheKind::SetAssociative, CacheKind::DirectMapped],
+            caches: CacheKind::ALL.to_vec(),
             spec_depths: vec![defaults::SPEC_DEPTH],
         }
     }
@@ -270,12 +302,7 @@ impl Grid {
     pub fn frontend() -> Self {
         Grid {
             workloads: vec![WorkloadKind::Matrix.into(), WorkloadKind::Ll7.into()],
-            policies: vec![
-                FetchPolicy::TrueRoundRobin,
-                FetchPolicy::MaskedRoundRobin,
-                FetchPolicy::ConditionalSwitch,
-                FetchPolicy::Icount,
-            ],
+            policies: FetchPolicy::ALL.to_vec(),
             predictors: PredictorKind::ALL.to_vec(),
             threads: vec![1, 2, 4, 8],
             fetch_threads: vec![1, 2],
@@ -318,46 +345,70 @@ impl Grid {
         }
     }
 
+    /// How many levels the grid gives each axis, in
+    /// [`CellSpec::levels`] order.
+    pub(crate) fn lens(&self) -> [usize; AXES] {
+        [
+            self.workloads.len(),
+            self.policies.len(),
+            self.predictors.len(),
+            self.threads.len(),
+            self.fetch_threads.len(),
+            self.fetch_widths.len(),
+            self.su_depths.len(),
+            self.caches.len(),
+            self.spec_depths.len(),
+        ]
+    }
+
+    /// The cell at one level index per axis, in [`CellSpec::levels`]
+    /// order.
+    pub(crate) fn spec(&self, choice: &[usize; AXES]) -> CellSpec {
+        let [work, policy, predictor, threads, ports, width, su, cache, depth] = *choice;
+        CellSpec {
+            work: self.workloads[work].clone(),
+            policy: self.policies[policy],
+            predictor: self.predictors[predictor],
+            threads: self.threads[threads],
+            fetch_threads: self.fetch_threads[ports],
+            fetch_width: self.fetch_widths[width],
+            su_depth: self.su_depths[su],
+            cache: self.caches[cache],
+            spec_depth: self.spec_depths[depth],
+        }
+    }
+
+    /// The name of axis `axis` (an index into [`CellSpec::levels`]) and
+    /// the levels this grid gives it, in order.
+    pub(crate) fn axis(&self, axis: usize) -> (&'static str, Vec<Level>) {
+        let mut choice = [0; AXES];
+        let levels = (0..self.lens()[axis])
+            .map(|i| {
+                choice[axis] = i;
+                self.spec(&choice).levels()[axis].1.clone()
+            })
+            .collect();
+        (CellSpec::default().levels()[axis].0, levels)
+    }
+
     /// Flattens the grid into cells, in a deterministic order (workload
-    /// outermost, cache geometry innermost). Per-thread mixes pair only
+    /// outermost, speculation depth innermost). Per-thread mixes pair only
     /// with the thread count matching their arity — the other thread
     /// counts are not holes to record but points that do not exist.
     #[must_use]
     pub fn cells(&self) -> Vec<CellSpec> {
-        let mut out = Vec::new();
-        for work in &self.workloads {
-            for &policy in &self.policies {
-                for &predictor in &self.predictors {
-                    for &threads in &self.threads {
-                        if work.is_mix() && work.refs().len() != threads {
-                            continue;
-                        }
-                        for &fetch_threads in &self.fetch_threads {
-                            for &fetch_width in &self.fetch_widths {
-                                for &su_depth in &self.su_depths {
-                                    for &cache in &self.caches {
-                                        for &spec_depth in &self.spec_depths {
-                                            out.push(CellSpec {
-                                                work: work.clone(),
-                                                policy,
-                                                predictor,
-                                                threads,
-                                                fetch_threads,
-                                                fetch_width,
-                                                su_depth,
-                                                cache,
-                                                spec_depth,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        let lens = self.lens();
+        (0..lens.iter().product())
+            .map(|mut n: usize| {
+                let mut choice = [0; AXES];
+                for (level, len) in choice.iter_mut().zip(lens).rev() {
+                    *level = n % len;
+                    n /= len;
                 }
-            }
-        }
-        out
+                self.spec(&choice)
+            })
+            .filter(|c| !c.work.is_mix() || c.work.refs().len() == c.threads)
+            .collect()
     }
 }
 
@@ -366,6 +417,29 @@ const POLICIES: [FetchPolicy; 3] = [
     FetchPolicy::MaskedRoundRobin,
     FetchPolicy::ConditionalSwitch,
 ];
+
+/// How many axes a cell has: the workload plus eight machine axes.
+pub const AXES: usize = 9;
+
+/// A cell's level on one axis, as the serve wire format, the search axes
+/// and the frontier report spell it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Level {
+    /// A workload name, or an enumerated level's abbreviation (`trr`,
+    /// `gsh`, `sa`, …).
+    Name(String),
+    /// A count: threads, fetch ports, fetch width or a depth.
+    Count(usize),
+}
+
+impl fmt::Display for Level {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Level::Name(s) => f.write_str(s),
+            Level::Count(n) => write!(f, "{n}"),
+        }
+    }
+}
 
 /// One point of the sweep space.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -424,6 +498,25 @@ impl CellSpec {
             .with_spec_depth(self.spec_depth)
     }
 
+    /// Every axis's name and this cell's level on it, in grid order. The
+    /// names are the field names of the serve wire format and the frontier
+    /// report, and the search's axis names; the levels are their spellings.
+    #[must_use]
+    pub fn levels(&self) -> [(&'static str, Level); AXES] {
+        let name = |s: &str| Level::Name(s.to_string());
+        [
+            ("workload", Level::Name(self.work.name())),
+            ("policy", name(self.policy.abbrev())),
+            ("predictor", name(self.predictor.abbrev())),
+            ("threads", Level::Count(self.threads)),
+            ("fetch_threads", Level::Count(self.fetch_threads)),
+            ("fetch_width", Level::Count(self.fetch_width)),
+            ("su_depth", Level::Count(self.su_depth)),
+            ("cache", name(self.cache.abbrev())),
+            ("spec_depth", Level::Count(self.spec_depth)),
+        ]
+    }
+
     /// Stable, filesystem-safe cell name, e.g. `sieve-trr-t4-su32-sa`.
     ///
     /// Front-end dimensions appear only when they differ from the default
@@ -431,21 +524,13 @@ impl CellSpec {
     /// those axes existed — and every cell cached under one — is unchanged.
     #[must_use]
     pub fn id(&self) -> String {
-        let policy = match self.policy {
-            FetchPolicy::TrueRoundRobin => "trr",
-            FetchPolicy::MaskedRoundRobin => "mrr",
-            FetchPolicy::ConditionalSwitch => "cs",
-            FetchPolicy::Icount => "ic",
-        };
-        let cache = match self.cache {
-            CacheKind::SetAssociative => "sa",
-            CacheKind::DirectMapped => "dm",
-        };
         let mut id = format!(
-            "{}-{policy}-t{}-su{}-{cache}",
+            "{}-{}-t{}-su{}-{}",
             self.work.id_part(),
+            self.policy.abbrev(),
             self.threads,
             self.su_depth,
+            self.cache.abbrev(),
         );
         if self.predictor != PredictorKind::SharedBtb {
             id.push('-');
@@ -531,6 +616,55 @@ pub struct CellRecord {
 }
 
 impl CellRecord {
+    /// The record of a cell that ran to completion with `stats`.
+    pub(crate) fn done(
+        id: &str,
+        code_version: &str,
+        config_hash: u64,
+        program_hash: u64,
+        stats: &SimStats,
+    ) -> Self {
+        CellRecord {
+            id: id.to_string(),
+            code_version: code_version.to_string(),
+            config_hash,
+            program_hash,
+            status: CellStatus::Done,
+            cycles: stats.cycles,
+            committed: stats.committed_total(),
+            ipc: stats.ipc(),
+            hit_rate: stats.cache.hit_rate(),
+            branch_accuracy: stats.branches.accuracy(),
+            su_stalls: stats.su_stall_cycles,
+            reason: String::new(),
+        }
+    }
+
+    /// The record of a cell whose kernel or configuration cannot run,
+    /// with the reason.
+    pub(crate) fn infeasible(
+        id: &str,
+        code_version: &str,
+        config_hash: u64,
+        program_hash: u64,
+        reason: String,
+    ) -> Self {
+        CellRecord {
+            id: id.to_string(),
+            code_version: code_version.to_string(),
+            config_hash,
+            program_hash,
+            status: CellStatus::Infeasible,
+            cycles: 0,
+            committed: 0,
+            ipc: 0.0,
+            hit_rate: 0.0,
+            branch_accuracy: 0.0,
+            su_stalls: 0,
+            reason,
+        }
+    }
+
     /// Serializes the record as `key=value` lines (the cell-cache format;
     /// the repository has no JSON *parser*, so the cache uses a format that
     /// is trivial to read back).
@@ -639,9 +773,6 @@ pub struct SweepOptions {
     /// are invalid. Defaults to this crate's version; tests override it to
     /// prove stale caches fail closed.
     pub code_version: String,
-    /// Cells per super-job; `None` lets the planner pick (see
-    /// [`default_batch`]). `Some(1)` recovers strictly per-cell execution.
-    pub batch: Option<usize>,
     /// The on-disk workload corpus, when one is attached. Cells that
     /// reference a corpus kernel by name resolve against this; without
     /// one, such cells record as infeasible with a "no corpus" reason.
@@ -655,7 +786,6 @@ impl Default for SweepOptions {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             checkpoint_every: None,
             code_version: env!("CARGO_PKG_VERSION").to_string(),
-            batch: None,
             corpus: None,
         }
     }
@@ -677,48 +807,8 @@ pub struct SweepSummary {
     /// Cycles stepped by this invocation (cache hits contribute nothing;
     /// a resumed cell counts only the cycles it actually re-simulated).
     pub simulated_cycles: u64,
-    /// Cells-per-super-job the run actually used (the `--batch` value or
-    /// the planner's choice).
-    pub batch: usize,
     /// Where the merged results were written.
     pub results_path: PathBuf,
-}
-
-/// Planner default for cells per super-job: aim for at least four
-/// super-jobs per worker so work stealing can still balance a skewed grid,
-/// while letting big grids amortize one program build and queue claim over
-/// many cells. [`plan_batches`] additionally never mixes programs within a
-/// job, so the effective size is capped by each `(workload, threads)`
-/// group.
-#[must_use]
-pub fn default_batch(cells: usize, workers: usize) -> usize {
-    (cells / (workers.max(1) * 4)).max(1)
-}
-
-/// Plans the flat cell list into super-jobs: cells are grouped by
-/// `(workload, threads)` — the key of [`Programs`], so every cell of a job
-/// shares one built kernel — in first-appearance order, and each group is
-/// chunked into jobs of at most `batch` cells. Returns indices into
-/// `specs`; every index appears exactly once.
-#[must_use]
-pub fn plan_batches(specs: &[CellSpec], batch: usize) -> Vec<Vec<usize>> {
-    let batch = batch.max(1);
-    let mut groups: Vec<((WorkSpec, usize), Vec<usize>)> = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
-        let key = (s.work.clone(), s.threads);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    groups
-        .into_iter()
-        .flat_map(|(_, v)| {
-            v.chunks(batch)
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<Vec<usize>>>()
-        })
-        .collect()
 }
 
 /// The built kernel(s) of a cell — one program for a uniform workload,
@@ -864,56 +954,10 @@ pub fn plant_checkpoint(
     save_ckpt(out, &spec.id(), code_version, snap)
 }
 
-/// Loads the cached record for `spec` if it exists and its full key —
-/// code version, configuration hash, and program hash — matches what this
-/// invocation would produce. Anything else is treated as a miss.
-fn load_valid_cell(
-    out: &Path,
-    spec: &CellSpec,
-    code_version: &str,
-    config_hash: u64,
-    program_hash: u64,
-) -> Option<CellRecord> {
-    let text = fs::read_to_string(cell_path(out, &spec.id())).ok()?;
-    let rec = CellRecord::parse(&text)?;
-    (rec.id == spec.id()
-        && rec.code_version == code_version
-        && rec.config_hash == config_hash
-        && rec.program_hash == program_hash)
-        .then_some(rec)
-}
+/// How many cycles a cell simulates between two progress ticks.
+pub const TICK_CYCLES: u64 = 512;
 
-pub(crate) fn infeasible_record(
-    spec: &CellSpec,
-    code_version: &str,
-    config_hash: u64,
-    program_hash: u64,
-    reason: String,
-) -> CellRecord {
-    CellRecord {
-        id: spec.id(),
-        code_version: code_version.to_string(),
-        config_hash,
-        program_hash,
-        status: CellStatus::Infeasible,
-        cycles: 0,
-        committed: 0,
-        ipc: 0.0,
-        hit_rate: 0.0,
-        branch_accuracy: 0.0,
-        su_stalls: 0,
-        reason,
-    }
-}
-
-/// How many cycles one cell runs before its super-job rotates to the next
-/// cell (and before a progress tick is emitted). Large enough that the
-/// rotation is free against the per-cycle simulation cost, small enough
-/// that a short cell finishes (and its cache entry lands on disk) without
-/// waiting out a long sibling.
-pub const BATCH_QUANTUM: u64 = 512;
-
-/// One progress observation, emitted after every [`BATCH_QUANTUM`] cycles
+/// One progress observation, emitted after every [`TICK_CYCLES`] cycles
 /// a cell simulates (the `smt-serve` daemon forwards these to subscribed
 /// clients as live telemetry).
 #[derive(Clone, Copy, Debug)]
@@ -926,26 +970,8 @@ pub struct ProgressTick<'a> {
     pub committed: u64,
 }
 
-/// One cell mid-flight inside a super-job.
-struct Running<'a> {
-    spec: CellSpec,
-    id: String,
-    config: SimConfig,
-    sim: Simulator<'a>,
-    resumed: bool,
-    /// Cycle the simulator held when this invocation picked the cell up
-    /// (non-zero after a snapshot resume) — the delta to the final cycle is
-    /// what this run actually simulated.
-    start_cycle: u64,
-    /// Live CPI-stack accountant, when the caller asked for telemetry.
-    /// Only attached to cells starting at cycle 0: the accountant's slot
-    /// invariant needs to observe every decode, so a snapshot resume (with
-    /// instructions already in flight) runs untraced.
-    cpi: Option<CpiStack>,
-}
-
-/// Per-cell outcome of scheduling one cell (or super-job of cells):
-/// the record that was produced or fetched, plus how it was produced.
+/// Outcome of scheduling one cell: the record that was produced or
+/// fetched, plus how it was produced.
 #[derive(Clone, Debug)]
 pub struct CellOutcome {
     /// The cell.
@@ -967,12 +993,12 @@ pub struct CellOutcome {
 /// directory plus the execution knobs and the shared program memo.
 ///
 /// Everything that executes cells — the batch `sweep` binary through
-/// [`run_sweep`], and the `smt-serve` daemon's worker pool — goes through
-/// this handle, so the cache-first/resume/infeasibility semantics (and
-/// therefore the produced bytes) are identical no matter who asks. The
-/// handle is `Sync`: workers share one `&Scheduler` across threads, and
-/// multiple *processes* can safely share one store directory because every
-/// write is atomic tmp+rename.
+/// [`run_sweep`], the `smt-serve` daemon's worker pool, and the Pareto
+/// search — goes through this handle, so the cache-first, resume and
+/// infeasibility semantics (and therefore the produced bytes) are
+/// identical no matter who asks. The handle is `Sync`: workers share one
+/// `&Scheduler` across threads, and multiple *processes* can safely share
+/// one store directory because every write is atomic tmp+rename.
 pub struct Scheduler {
     out: PathBuf,
     opts: SweepOptions,
@@ -1057,24 +1083,37 @@ impl Scheduler {
         (config_identity(&spec.config()), program_hash, built)
     }
 
+    /// The record stored at `path` if it is `id`'s and its full key — code
+    /// version, configuration hash, program hash — matches what this
+    /// scheduler would produce. Anything else is a miss.
+    pub(crate) fn load_record(
+        &self,
+        path: &Path,
+        id: &str,
+        config_hash: u64,
+        program_hash: u64,
+    ) -> Option<CellRecord> {
+        let rec = CellRecord::parse(&fs::read_to_string(path).ok()?)?;
+        (rec.id == id
+            && rec.code_version == self.opts.code_version
+            && rec.config_hash == config_hash
+            && rec.program_hash == program_hash)
+            .then_some(rec)
+    }
+
     /// Cache-only lookup: the cell's record if the store holds one whose
     /// full key (code version, config hash, program hash) matches what
     /// this scheduler would produce. Never simulates.
     #[must_use]
     pub fn probe(&self, spec: &CellSpec) -> Option<CellRecord> {
         let (config_hash, program_hash, _) = self.identities(spec);
-        load_valid_cell(
-            &self.out,
-            spec,
-            &self.opts.code_version,
-            config_hash,
-            program_hash,
-        )
+        let id = spec.id();
+        self.load_record(&cell_path(&self.out, &id), &id, config_hash, program_hash)
     }
 
     /// Produces one cell: from cache if valid, else by simulation
     /// (resuming from a mid-flight snapshot when one exists). `on_tick`
-    /// fires after every [`BATCH_QUANTUM`] simulated cycles; `cpi`
+    /// fires after every [`TICK_CYCLES`] simulated cycles; `cpi`
     /// requests a live CPI-stack breakdown on freshly simulated cells.
     ///
     /// # Panics
@@ -1088,53 +1127,133 @@ impl Scheduler {
         cpi: bool,
         on_tick: &mut dyn FnMut(ProgressTick<'_>),
     ) -> CellOutcome {
-        self.run_batch(&[0], std::slice::from_ref(spec), cpi, on_tick)
-            .pop()
-            .expect("a one-cell batch produces one outcome")
+        let id = spec.id();
+        let path = cell_path(&self.out, &id);
+        let (config_hash, program_hash, built) = self.identities(spec);
+        if let Some(rec) = self.load_record(&path, &id, config_hash, program_hash) {
+            return CellOutcome {
+                spec: spec.clone(),
+                rec,
+                ran: false,
+                resumed: false,
+                stepped: 0,
+                cpi: None,
+            };
+        }
+        let outcome = self.simulate(spec, &id, (config_hash, program_hash), &built, cpi, on_tick);
+        write_atomic(&path, outcome.rec.to_lines().as_bytes())
+            .unwrap_or_else(|e| panic!("{id}: cannot persist cell: {e}"));
+        outcome
     }
 
-    /// Steps `cell` for up to one quantum, checkpointing on the same
-    /// cadence a dedicated per-cell loop would. Returns whether the cell
-    /// finished.
-    fn advance(&self, cell: &mut Running<'_>, on_tick: &mut dyn FnMut(ProgressTick<'_>)) -> bool {
-        let id = &cell.id;
-        for _ in 0..BATCH_QUANTUM {
-            if cell.sim.finished() {
-                break;
+    /// Simulates a cell the store does not hold — from its mid-flight
+    /// snapshot when one exists, else from cycle 0 — or records why it
+    /// is infeasible.
+    fn simulate(
+        &self,
+        spec: &CellSpec,
+        id: &str,
+        (config_hash, program_hash): (u64, u64),
+        built: &Built,
+        cpi: bool,
+        on_tick: &mut dyn FnMut(ProgressTick<'_>),
+    ) -> CellOutcome {
+        let code_version = &self.opts.code_version;
+        let outcome = |rec, resumed, stepped, cpi| CellOutcome {
+            spec: spec.clone(),
+            rec,
+            ran: true,
+            resumed,
+            stepped,
+            cpi,
+        };
+        let infeasible = |program_hash, reason| {
+            let rec = CellRecord::infeasible(id, code_version, config_hash, program_hash, reason);
+            outcome(rec, false, 0, None)
+        };
+        // Uniform cells replicate one program across the partition (the
+        // pre-mix construction paths, so their snapshots and identity
+        // hashes are unchanged); a mix places one single-threaded program
+        // per thread.
+        let programs: Vec<&Program> = match built.as_ref() {
+            Err(e) => return infeasible(0, lowering_failure(spec.threads, e)),
+            Ok(ps) => ps.iter().collect(),
+        };
+        let config = spec.config();
+        let restored = load_ckpt(&self.out, id, code_version).and_then(|snap| match programs[..] {
+            [p] => Simulator::restore(config.clone(), p, &snap).ok(),
+            _ => Simulator::restore_mix(config.clone(), &programs, &snap).ok(),
+        });
+        let resumed = restored.is_some();
+        let fresh = || match programs[..] {
+            [p] => Simulator::try_new(config.clone(), p),
+            _ => Simulator::try_new_mix(config.clone(), &programs),
+        };
+        let mut sim = match restored.map_or_else(fresh, Ok) {
+            Ok(sim) => sim,
+            // Config rejections are holes in the space too: e.g. two fetch
+            // ports with a single resident thread.
+            Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
+                return infeasible(program_hash, e.to_string());
             }
-            assert!(
-                cell.sim.cycle() < cell.sim.config().max_cycles,
-                "{id}: watchdog: exceeded {} cycles",
-                cell.sim.config().max_cycles
-            );
-            match cell.cpi.as_mut() {
-                Some(stack) => cell.sim.step_with(stack),
-                None => cell.sim.step(),
-            }
-            .unwrap_or_else(|e| panic!("{id}: simulation failed: {e}"));
-            if let Some(every) = self.opts.checkpoint_every {
-                if cell.sim.cycle() % every == 0 && !cell.sim.finished() {
-                    save_ckpt(
-                        &self.out,
-                        id,
-                        &self.opts.code_version,
-                        &cell.sim.checkpoint(),
-                    )
-                    .unwrap_or_else(|e| panic!("{id}: cannot write checkpoint: {e}"));
+            Err(e) => panic!("{id}: simulator rejected the cell: {e}"),
+        };
+        // The CPI-stack accountant's slot invariant needs to observe every
+        // decode, so a snapshot resume (with instructions already in
+        // flight) runs untraced.
+        let mut stack = (cpi && !resumed).then(|| CpiStack::new(config.trace_shape().width));
+        let start_cycle = sim.cycle();
+        loop {
+            for _ in 0..TICK_CYCLES {
+                if sim.finished() {
+                    break;
+                }
+                assert!(
+                    sim.cycle() < sim.config().max_cycles,
+                    "{id}: watchdog: exceeded {} cycles",
+                    sim.config().max_cycles
+                );
+                match stack.as_mut() {
+                    Some(stack) => sim.step_with(stack),
+                    None => sim.step(),
+                }
+                .unwrap_or_else(|e| panic!("{id}: simulation failed: {e}"));
+                if let Some(every) = self.opts.checkpoint_every {
+                    if sim.cycle() % every == 0 && !sim.finished() {
+                        save_ckpt(&self.out, id, code_version, &sim.checkpoint())
+                            .unwrap_or_else(|e| panic!("{id}: cannot write checkpoint: {e}"));
+                    }
                 }
             }
+            on_tick(ProgressTick {
+                id,
+                cycle: sim.cycle(),
+                committed: sim.stats().committed_total(),
+            });
+            if sim.finished() {
+                break;
+            }
         }
-        on_tick(ProgressTick {
-            id,
-            cycle: cell.sim.cycle(),
-            committed: cell.sim.stats().committed_total(),
-        });
-        cell.sim.finished()
+        // The machine is drained; `run` performs no steps and finalizes
+        // the statistics (cache counters, FU busy cycles).
+        let stats = sim
+            .run()
+            .unwrap_or_else(|e| panic!("{id}: finalize failed: {e}"));
+        self.check_answer(&spec.work, &sim)
+            .unwrap_or_else(|e| panic!("{id}: wrong answer: {e}"));
+        let _ = fs::remove_file(ckpt_path(&self.out, id));
+        let rec = CellRecord::done(id, code_version, config_hash, program_hash, &stats);
+        outcome(
+            rec,
+            resumed,
+            stats.cycles - start_cycle,
+            stack.map(CpiStack::finish),
+        )
     }
 
     /// Verifies one program's architectural answer against the memory
     /// words of its (possibly thread-local) address space.
-    pub(crate) fn check_ref(&self, r: &WorkRef, words: &[u64]) -> Result<(), String> {
+    fn check_ref(&self, r: &WorkRef, words: &[u64]) -> Result<(), String> {
         match r {
             WorkRef::Builtin(kind) => workload(*kind, self.opts.scale)
                 .check(words)
@@ -1153,190 +1272,28 @@ impl Scheduler {
         }
     }
 
-    /// Drains a finished cell: finalizes statistics, verifies the
-    /// architectural answer, drops the now-dead snapshot, and builds the
-    /// record. Returns `(record, cycles simulated, cpi breakdown)`.
-    fn finalize(
-        &self,
-        mut cell: Running<'_>,
-        program_hash: u64,
-    ) -> (CellRecord, u64, Option<CpiBreakdown>) {
-        let id = &cell.id;
-        // The machine is drained; `run` performs no steps and finalizes
-        // the statistics (cache counters, FU busy cycles).
-        let stats = cell
-            .sim
-            .run()
-            .unwrap_or_else(|e| panic!("{id}: finalize failed: {e}"));
-        let words = cell.sim.memory().words();
-        if cell.spec.work.is_mix() {
-            // Every tenant is verified against its own address-space
-            // segment, exactly as if it had run alone.
-            for (tid, r) in cell.spec.work.refs().iter().enumerate() {
-                let (base, span) = cell.sim.thread_segment(tid);
-                let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
-                self.check_ref(r, local)
-                    .unwrap_or_else(|e| panic!("{id}: thread {tid} wrong answer: {e}"));
-            }
-        } else {
-            self.check_ref(&cell.spec.work.refs()[0], words)
-                .unwrap_or_else(|e| panic!("{id}: wrong answer: {e}"));
+    /// Verifies a finished machine's architectural answer. Every tenant
+    /// of a mix is checked against its own address-space segment, exactly
+    /// as if it had run alone.
+    pub(crate) fn check_answer(&self, work: &WorkSpec, sim: &Simulator<'_>) -> Result<(), String> {
+        let words = sim.memory().words();
+        if !work.is_mix() {
+            return self.check_ref(&work.refs()[0], words);
         }
-        let _ = fs::remove_file(ckpt_path(&self.out, id));
-        let rec = CellRecord {
-            id: cell.id.clone(),
-            code_version: self.opts.code_version.clone(),
-            config_hash: config_identity(&cell.config),
-            program_hash,
-            status: CellStatus::Done,
-            cycles: stats.cycles,
-            committed: stats.committed_total(),
-            ipc: stats.ipc(),
-            hit_rate: stats.cache.hit_rate(),
-            branch_accuracy: stats.branches.accuracy(),
-            su_stalls: stats.su_stall_cycles,
-            reason: String::new(),
-        };
-        (
-            rec,
-            stats.cycles - cell.start_cycle,
-            cell.cpi.map(CpiStack::finish),
-        )
+        for (tid, r) in work.refs().iter().enumerate() {
+            let (base, span) = sim.thread_segment(tid);
+            let local = &words[(base / 8) as usize..((base + span) / 8) as usize];
+            self.check_ref(r, local)
+                .map_err(|e| format!("thread {tid}: {e}"))?;
+        }
+        Ok(())
     }
+}
 
-    /// Produces (from cache or by simulation) the records for one
-    /// super-job: cells sharing a single built program, their `step()`
-    /// loops interleaved in [`BATCH_QUANTUM`] slices on this one thread.
-    fn run_batch(
-        &self,
-        idxs: &[usize],
-        specs: &[CellSpec],
-        cpi: bool,
-        on_tick: &mut dyn FnMut(ProgressTick<'_>),
-    ) -> Vec<CellOutcome> {
-        let out = &self.out;
-        let opts = &self.opts;
-        let mut done = Vec::with_capacity(idxs.len());
-        let mut running: Vec<Running> = Vec::new();
-        // The planner groups by (workload, threads), so one memo lookup
-        // serves the whole job.
-        let first = &specs[idxs[0]];
-        let (_, program_hash, built) = self.identities(first);
-        let persist = |spec: &CellSpec, rec: CellRecord, resumed: bool, stepped: u64, cpi| {
-            write_atomic(&cell_path(out, &spec.id()), rec.to_lines().as_bytes())
-                .unwrap_or_else(|e| panic!("{}: cannot persist cell: {e}", spec.id()));
-            CellOutcome {
-                spec: spec.clone(),
-                rec,
-                ran: true,
-                resumed,
-                stepped,
-                cpi,
-            }
-        };
-        for &i in idxs {
-            let spec = &specs[i];
-            debug_assert_eq!((&spec.work, spec.threads), (&first.work, first.threads));
-            let config = spec.config();
-            let config_hash = config_identity(&config);
-            if let Some(rec) =
-                load_valid_cell(out, spec, &opts.code_version, config_hash, program_hash)
-            {
-                done.push(CellOutcome {
-                    spec: spec.clone(),
-                    rec,
-                    ran: false,
-                    resumed: false,
-                    stepped: 0,
-                    cpi: None,
-                });
-                continue;
-            }
-            let programs = match built.as_ref() {
-                Err(e) => {
-                    let rec = infeasible_record(
-                        spec,
-                        &opts.code_version,
-                        config_hash,
-                        0,
-                        format!("kernel does not lower at {} threads: {e}", spec.threads),
-                    );
-                    done.push(persist(spec, rec, false, 0, None));
-                    continue;
-                }
-                Ok(ps) => ps,
-            };
-            // Uniform cells replicate one program across the partition
-            // (the pre-mix construction paths, so their snapshots and
-            // identity hashes are unchanged); a mix places one
-            // single-threaded program per thread.
-            let mix: Vec<&Program> = programs.iter().collect();
-            let id = spec.id();
-            let restored = load_ckpt(out, &id, &opts.code_version).and_then(|snap| match mix[..] {
-                [p] => Simulator::restore(config.clone(), p, &snap).ok(),
-                _ => Simulator::restore_mix(config.clone(), &mix, &snap).ok(),
-            });
-            match restored {
-                Some(sim) => running.push(Running {
-                    spec: spec.clone(),
-                    id,
-                    config,
-                    start_cycle: sim.cycle(),
-                    sim,
-                    resumed: true,
-                    cpi: None,
-                }),
-                None => {
-                    let fresh = match mix[..] {
-                        [p] => Simulator::try_new(config.clone(), p),
-                        _ => Simulator::try_new_mix(config.clone(), &mix),
-                    };
-                    match fresh {
-                        Ok(sim) => running.push(Running {
-                            spec: spec.clone(),
-                            id,
-                            cpi: cpi.then(|| CpiStack::new(config.trace_shape().width)),
-                            config,
-                            sim,
-                            resumed: false,
-                            start_cycle: 0,
-                        }),
-                        // Config rejections are holes in the space too: e.g.
-                        // two fetch ports with a single resident thread.
-                        Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
-                            let rec = infeasible_record(
-                                spec,
-                                &opts.code_version,
-                                config_hash,
-                                program_hash,
-                                e.to_string(),
-                            );
-                            done.push(persist(spec, rec, false, 0, None));
-                        }
-                        Err(e) => panic!("{id}: simulator rejected the cell: {e}"),
-                    }
-                }
-            }
-        }
-        // Interleave: rotate through the live cells one quantum at a
-        // time. Completion order does not matter — run_sweep sorts by
-        // cell id.
-        while !running.is_empty() {
-            let mut i = 0;
-            while i < running.len() {
-                if self.advance(&mut running[i], on_tick) {
-                    let cell = running.swap_remove(i);
-                    let resumed = cell.resumed;
-                    let spec = cell.spec.clone();
-                    let (rec, stepped, breakdown) = self.finalize(cell, program_hash);
-                    done.push(persist(&spec, rec, resumed, stepped, breakdown));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        done
-    }
+/// Why a cell whose kernel does not build at its thread count is
+/// infeasible.
+pub(crate) fn lowering_failure(threads: usize, e: &str) -> String {
+    format!("kernel does not lower at {threads} threads: {e}")
 }
 
 /// Renders the merged results of a sweep: one JSON object per cell, sorted
@@ -1368,37 +1325,18 @@ pub fn results_json(cells: &[(CellSpec, CellRecord)]) -> String {
 pub fn run_sweep(grid: &Grid, out: &Path, opts: &SweepOptions) -> io::Result<SweepSummary> {
     let sched = Scheduler::new(out, opts.clone())?;
     let specs = grid.cells();
-    let batch = opts
-        .batch
-        .unwrap_or_else(|| default_batch(specs.len(), opts.workers));
-    let jobs = plan_batches(&specs, batch);
     let next = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
-    let cached = AtomicUsize::new(0);
-    let resumed = AtomicUsize::new(0);
-    let stepped = AtomicU64::new(0);
-    let workers = opts.workers.clamp(1, jobs.len().max(1));
+    let workers = opts.workers.clamp(1, specs.len().max(1));
     // Work stealing: each worker repeatedly claims the next unclaimed
-    // super-job, so a worker stuck on one long batch never strands the
-    // queue.
-    let mut cells: Vec<(CellSpec, CellRecord)> = std::thread::scope(|s| {
+    // cell, so a worker stuck on one long cell never strands the queue.
+    let outcomes: Vec<CellOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let (next, executed, cached, resumed, stepped) =
-                    (&next, &executed, &cached, &resumed, &stepped);
-                let (specs, jobs, sched) = (&specs, &jobs, &sched);
+                let (specs, next, sched) = (&specs, &next, &sched);
                 s.spawn(move || {
                     let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        for o in sched.run_batch(job, specs, false, &mut |_| {}) {
-                            executed.fetch_add(usize::from(o.ran), Ordering::Relaxed);
-                            cached.fetch_add(usize::from(!o.ran), Ordering::Relaxed);
-                            resumed.fetch_add(usize::from(o.resumed), Ordering::Relaxed);
-                            stepped.fetch_add(o.stepped, Ordering::Relaxed);
-                            mine.push((o.spec, o.rec));
-                        }
+                    while let Some(spec) = specs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        mine.push(sched.run_cell(spec, false, &mut |_| {}));
                     }
                     mine
                 })
@@ -1409,22 +1347,21 @@ pub fn run_sweep(grid: &Grid, out: &Path, opts: &SweepOptions) -> io::Result<Swe
             .flat_map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
-    cells.sort_by(|a, b| a.1.id.cmp(&b.1.id));
-    let results_path = out.join("results.json");
-    write_atomic(&results_path, results_json(&cells).as_bytes())?;
-    Ok(SweepSummary {
+    let count = |f: fn(&CellOutcome) -> bool| outcomes.iter().filter(|o| f(o)).count();
+    let summary = SweepSummary {
         total: specs.len(),
-        executed: executed.into_inner(),
-        cached: cached.into_inner(),
-        infeasible: cells
-            .iter()
-            .filter(|(_, r)| r.status == CellStatus::Infeasible)
-            .count(),
-        resumed: resumed.into_inner(),
-        simulated_cycles: stepped.into_inner(),
-        batch,
-        results_path,
-    })
+        executed: count(|o| o.ran),
+        cached: count(|o| !o.ran),
+        infeasible: count(|o| o.rec.status == CellStatus::Infeasible),
+        resumed: count(|o| o.resumed),
+        simulated_cycles: outcomes.iter().map(|o| o.stepped).sum(),
+        results_path: out.join("results.json"),
+    };
+    let mut cells: Vec<(CellSpec, CellRecord)> =
+        outcomes.into_iter().map(|o| (o.spec, o.rec)).collect();
+    cells.sort_by(|a, b| a.1.id.cmp(&b.1.id));
+    write_atomic(&summary.results_path, results_json(&cells).as_bytes())?;
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -1545,36 +1482,27 @@ mod tests {
     }
 
     #[test]
+    fn preset_cell_ids_and_order_are_pinned() {
+        // Every id keys a store entry, and the end-to-end benchmark picks
+        // paper ∪ hetero cells by position: neither the spelling nor the
+        // order of a preset's cells may move.
+        for (name, grid, digest) in [
+            ("smoke", Grid::smoke(), 0x7d61_c809_841e_5fddu64),
+            ("paper", Grid::paper(), 0xfff4_ef6f_7bda_b201),
+            ("frontend", Grid::frontend(), 0xa44b_98e9_5285_851a),
+            ("hetero", Grid::hetero(), 0xe255_f732_bb2b_2cc3),
+        ] {
+            let ids: Vec<String> = grid.cells().iter().map(CellSpec::id).collect();
+            assert_eq!(smt_checkpoint::stable_hash(&ids), digest, "{name}");
+        }
+    }
+
+    #[test]
     fn frontend_grid_spans_the_new_axes_with_unique_ids() {
         let cells = Grid::frontend().cells();
         assert_eq!(cells.len(), 2 * 4 * 3 * 4 * 2 * 2);
         let ids: std::collections::HashSet<String> = cells.iter().map(CellSpec::id).collect();
         assert_eq!(ids.len(), cells.len(), "ids are unique");
-    }
-
-    #[test]
-    fn batches_partition_the_grid_and_never_mix_programs() {
-        let specs = Grid::smoke().cells();
-        for batch in [1, 3, 100] {
-            let jobs = plan_batches(&specs, batch);
-            let mut seen: Vec<usize> = jobs.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>());
-            for job in &jobs {
-                assert!(job.len() <= batch);
-                let key = |i: &usize| (specs[*i].work.clone(), specs[*i].threads);
-                assert!(job.iter().all(|i| key(i) == key(&job[0])));
-            }
-        }
-    }
-
-    #[test]
-    fn default_batch_keeps_workers_oversubscribed() {
-        // 990-cell paper grid on 8 workers: jobs stay well above 4/worker.
-        let b = default_batch(990, 8);
-        assert!(b >= 1 && 990 / b >= 8 * 4, "batch {b}");
-        assert_eq!(default_batch(3, 8), 1, "tiny grids fall back to per-cell");
-        assert_eq!(default_batch(0, 0), 1, "degenerate inputs still plan");
     }
 
     #[test]
@@ -1604,14 +1532,20 @@ mod tests {
     fn malformed_records_fail_closed() {
         assert_eq!(CellRecord::parse(""), None);
         assert_eq!(CellRecord::parse("id=x\nstatus=done"), None);
-        let rec = infeasible_record(&spec(), "v", 1, 0, "no fit".into());
+        let rec = CellRecord::infeasible(&spec().id(), "v", 1, 0, "no fit".into());
         let mangled = rec.to_lines().replace("status=infeasible", "status=maybe");
         assert_eq!(CellRecord::parse(&mangled), None);
     }
 
     #[test]
     fn reasons_survive_equals_signs_and_newlines() {
-        let rec = infeasible_record(&spec(), "v", 1, 0, "window=21 < needed\nregs=32".into());
+        let rec = CellRecord::infeasible(
+            &spec().id(),
+            "v",
+            1,
+            0,
+            "window=21 < needed\nregs=32".into(),
+        );
         let parsed = CellRecord::parse(&rec.to_lines()).expect("round trip");
         assert_eq!(parsed.reason, "window=21 < needed regs=32");
     }

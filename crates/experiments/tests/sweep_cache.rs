@@ -1,9 +1,8 @@
-//! Batching is scheduling, not semantics: a sweep run as per-cell jobs and
-//! the same sweep run as interleaved super-jobs must leave byte-identical
-//! artifacts — the merged `results.json` *and* every content-addressed
-//! cell file — including when a cell resumes from a mid-flight snapshot
-//! the way a SIGKILLed worker would (the CI smoke job delivers the real
-//! signal; here the same on-disk state is planted directly).
+//! A sweep in which one cell resumes from a mid-flight snapshot, the way a
+//! SIGKILLed worker would leave it, must leave artifacts byte-identical to
+//! an uninterrupted sweep's — the merged `results.json` *and* every
+//! content-addressed cell file (the CI smoke job delivers the real signal;
+//! here the same on-disk state is planted directly).
 
 use std::fs;
 use std::path::PathBuf;
@@ -22,12 +21,11 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(batch: Option<usize>) -> SweepOptions {
+fn opts() -> SweepOptions {
     SweepOptions {
         scale: Scale::Test,
         workers: 2,
         checkpoint_every: Some(200),
-        batch,
         ..SweepOptions::default()
     }
 }
@@ -49,37 +47,11 @@ fn cell_files(out: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 }
 
 #[test]
-fn batched_and_unbatched_sweeps_leave_identical_artifacts() {
-    let grid = Grid::smoke();
-    let (a, b) = (scratch("unbatched"), scratch("batched"));
-    let one = run_sweep(&grid, &a, &opts(Some(1))).expect("unbatched sweep");
-    let many = run_sweep(&grid, &b, &opts(Some(grid.cells().len()))).expect("batched sweep");
-    assert_eq!(one.batch, 1);
-    assert_eq!(many.batch, grid.cells().len());
-    assert_eq!(one.total, many.total);
-    assert_eq!(one.executed, many.executed);
-    assert_eq!(one.infeasible, many.infeasible);
-    let (ra, rb) = (
-        fs::read(a.join("results.json")).expect("results a"),
-        fs::read(b.join("results.json")).expect("results b"),
-    );
-    assert_eq!(ra, rb, "results.json differs between batchings");
-    assert_eq!(
-        cell_files(&a),
-        cell_files(&b),
-        "cache entries differ between batchings"
-    );
-    let _ = fs::remove_dir_all(&a);
-    let _ = fs::remove_dir_all(&b);
-}
-
-#[test]
 fn batched_resume_from_planted_snapshot_matches_a_clean_run() {
     let grid = Grid::smoke();
-    let opts_batched = opts(Some(6));
-    // The reference: an uninterrupted, unbatched sweep.
+    // The reference: an uninterrupted sweep.
     let clean = scratch("clean");
-    run_sweep(&grid, &clean, &opts(Some(1))).expect("clean sweep");
+    run_sweep(&grid, &clean, &opts()).expect("clean sweep");
 
     // The victim: one feasible cell is left exactly as a killed worker
     // would leave it — a validated snapshot in ckpt/ and no cell file.
@@ -103,15 +75,10 @@ fn batched_resume_from_planted_snapshot_matches_a_clean_run() {
         sim.step().expect("steps");
     }
     let interrupted = scratch("interrupted");
-    plant_checkpoint(
-        &interrupted,
-        &spec,
-        &opts_batched.code_version,
-        &sim.checkpoint(),
-    )
-    .expect("plant snapshot");
+    plant_checkpoint(&interrupted, &spec, &opts().code_version, &sim.checkpoint())
+        .expect("plant snapshot");
 
-    let summary = run_sweep(&grid, &interrupted, &opts_batched).expect("resumed sweep");
+    let summary = run_sweep(&grid, &interrupted, &opts()).expect("resumed sweep");
     assert_eq!(
         summary.resumed, 1,
         "the planted cell must resume, not restart"
@@ -119,7 +86,7 @@ fn batched_resume_from_planted_snapshot_matches_a_clean_run() {
     assert_eq!(
         fs::read(clean.join("results.json")).expect("clean results"),
         fs::read(interrupted.join("results.json")).expect("resumed results"),
-        "resumed batched sweep must serialize byte-identically"
+        "resumed sweep must serialize byte-identically"
     );
     assert_eq!(cell_files(&clean), cell_files(&interrupted));
     let _ = fs::remove_dir_all(&clean);

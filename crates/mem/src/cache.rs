@@ -26,6 +26,20 @@ pub enum CacheKind {
     DirectMapped,
 }
 
+impl CacheKind {
+    /// Every organization, in declaration order (sweep-axis iteration).
+    pub const ALL: [CacheKind; 2] = [CacheKind::SetAssociative, CacheKind::DirectMapped];
+
+    /// Short stable identifier for cell ids and exports.
+    #[must_use]
+    pub fn abbrev(self) -> &'static str {
+        match self {
+            CacheKind::SetAssociative => "sa",
+            CacheKind::DirectMapped => "dm",
+        }
+    }
+}
+
 impl fmt::Display for CacheKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

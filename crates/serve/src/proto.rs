@@ -50,19 +50,14 @@ use smt_core::config::defaults;
 use smt_core::FetchPolicy;
 use smt_experiments::explore::{hardware_cost, EvalMode, SearchReport, SearchSpace};
 use smt_experiments::json::Value;
-use smt_experiments::sweep::{CellRecord, CellSpec, CellStatus, Grid, WorkSpec};
+use smt_experiments::sweep::{lookup, CellRecord, CellSpec, CellStatus, Grid, Level, WorkSpec};
 use smt_mem::CacheKind;
 use smt_trace::{CpiBreakdown, SlotCause};
 use smt_uarch::PredictorKind;
-use smt_workloads::WorkloadKind;
 
 /// Most cells one `submit` may carry (the 990-cell paper grid fits with
 /// headroom; a hostile 10⁶-cell submission does not).
 pub const MAX_CELLS: usize = 4096;
-
-/// Warmup length a `search` request gets when it does not name one —
-/// matches the `sweep --search` default.
-pub const DEFAULT_WARMUP: u64 = 20_000;
 
 /// A parsed, validated request.
 #[derive(Clone, Debug)]
@@ -74,8 +69,8 @@ pub enum Request {
     /// Schedule cells; stream `progress` ticks and attach `cpi`
     /// telemetry when asked.
     Submit {
-        /// The deduplicated… no — the raw cell list, in request order
-        /// (the server dedups).
+        /// The cells in request order, duplicates included (the server
+        /// dedups).
         cells: Vec<CellSpec>,
         /// Stream per-quantum progress events.
         progress: bool,
@@ -87,17 +82,14 @@ pub enum Request {
     /// Deterministic Pareto search over a [`SearchSpace`], answered
     /// with one `frontier` response.
     Search {
-        /// What every searched point runs.
-        work: WorkSpec,
-        /// Resident threads (fixed across the space).
-        threads: usize,
+        /// The searched region: the named one (`smoke` by default) around
+        /// the request's workload and thread count.
+        space: SearchSpace,
         /// Hill-climbing seed.
         seed: u64,
-        /// How the points are measured: warm-forked after this many
-        /// warmup cycles, or exact cold runs when 0.
+        /// How the points are measured: warm-forked after the requested
+        /// warmup, or exact cold runs when it is 0.
         mode: EvalMode,
-        /// Whether to search the full region or the 16-point smoke one.
-        full_space: bool,
     },
     /// Stop the server.
     Shutdown,
@@ -130,39 +122,26 @@ impl Request {
             "search" => {
                 let workload = dim_str(v, "workload")?.ok_or("search needs a \"workload\"")?;
                 let work = WorkSpec::parse(workload)?;
-                let big = |key: &str, default: u64| -> Result<u64, String> {
-                    match v.get(key) {
-                        None => Ok(default),
-                        Some(x) => x
-                            .as_u64()
-                            .ok_or(format!("\"{key}\" must be a non-negative integer")),
-                    }
+                let big = |key: &str| -> Result<Option<u64>, String> {
+                    v.get(key)
+                        .map(|x| {
+                            x.as_u64()
+                                .ok_or(format!("\"{key}\" must be a non-negative integer"))
+                        })
+                        .transpose()
                 };
-                let warmup = big("warmup", DEFAULT_WARMUP)?;
-                let full_space = match dim_str(v, "space")? {
-                    None | Some("smoke") => false,
-                    Some("full") => true,
-                    Some(other) => {
-                        return Err(format!("unknown space {other:?} (smoke|full)"));
-                    }
-                };
+                let threads = dim(v, "threads", 1, defaults::THREADS)?;
                 Ok(Request::Search {
-                    work,
-                    threads: dim(v, "threads", defaults::THREADS)?,
-                    seed: big("seed", 0)?,
-                    mode: if warmup == 0 {
-                        EvalMode::Full
-                    } else {
-                        EvalMode::Warm { warmup }
-                    },
-                    full_space,
+                    space: SearchSpace::named(dim_str(v, "space")?, work, threads)?,
+                    seed: big("seed")?.unwrap_or(0),
+                    mode: EvalMode::from_warmup(big("warmup")?),
                 })
             }
             "submit" => {
                 let mut cells = Vec::new();
                 if let Some(grid) = v.get("grid") {
                     let name = grid.as_str().ok_or("\"grid\" must be a string")?;
-                    cells.extend(grid_by_name(name)?.cells());
+                    cells.extend(Grid::named(name)?.cells());
                 }
                 if let Some(list) = v.get("cells") {
                     let list = list.as_array().ok_or("\"cells\" must be an array")?;
@@ -197,114 +176,38 @@ fn flag(v: &Value, key: &str) -> Result<bool, String> {
     }
 }
 
-/// Resolves a named grid preset.
-///
-/// # Errors
-///
-/// Unknown names are reported with the valid spellings.
-pub fn grid_by_name(name: &str) -> Result<Grid, String> {
-    match name {
-        "smoke" => Ok(Grid::smoke()),
-        "paper" => Ok(Grid::paper()),
-        "frontend" => Ok(Grid::frontend()),
-        "hetero" => Ok(Grid::hetero()),
-        other => Err(format!(
-            "unknown grid {other:?} (expected smoke|paper|frontend|hetero)"
-        )),
-    }
-}
-
-/// Parses a workload by its case-insensitive display name.
-#[must_use]
-pub fn parse_workload(s: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(s))
-}
-
-/// Parses a fetch policy by its cell-id abbreviation.
-#[must_use]
-pub fn parse_policy(s: &str) -> Option<FetchPolicy> {
-    match s {
-        "trr" => Some(FetchPolicy::TrueRoundRobin),
-        "mrr" => Some(FetchPolicy::MaskedRoundRobin),
-        "cs" => Some(FetchPolicy::ConditionalSwitch),
-        "ic" => Some(FetchPolicy::Icount),
-        _ => None,
-    }
-}
-
-/// The cell-id abbreviation of a fetch policy.
-#[must_use]
-pub fn policy_abbrev(p: FetchPolicy) -> &'static str {
-    match p {
-        FetchPolicy::TrueRoundRobin => "trr",
-        FetchPolicy::MaskedRoundRobin => "mrr",
-        FetchPolicy::ConditionalSwitch => "cs",
-        FetchPolicy::Icount => "ic",
-    }
-}
-
-/// Parses a predictor family by its abbreviation.
-#[must_use]
-pub fn parse_predictor(s: &str) -> Option<PredictorKind> {
-    PredictorKind::ALL.into_iter().find(|k| k.abbrev() == s)
-}
-
-/// Parses a cache organization by its abbreviation.
-#[must_use]
-pub fn parse_cache(s: &str) -> Option<CacheKind> {
-    match s {
-        "sa" => Some(CacheKind::SetAssociative),
-        "dm" => Some(CacheKind::DirectMapped),
-        _ => None,
-    }
-}
-
-/// The cell-id abbreviation of a cache organization.
-#[must_use]
-pub fn cache_abbrev(c: CacheKind) -> &'static str {
-    match c {
-        CacheKind::SetAssociative => "sa",
-        CacheKind::DirectMapped => "dm",
-    }
-}
-
 /// Bounds on the numeric dimensions. Far wider than any feasible machine
 /// (`SimConfig::validate` is the real arbiter); these only stop a crafted
 /// request from allocating absurd structures before validation runs.
 const DIM_MAX: u64 = 4096;
 
-fn dim(v: &Value, key: &str, default: usize) -> Result<usize, String> {
+/// A numeric dimension: `default` when absent, else an integer in
+/// `min..=DIM_MAX` (`min` is 0 only for knobs where 0 means "disabled",
+/// like the speculation-depth limit).
+fn dim(v: &Value, key: &str, min: u64, default: usize) -> Result<usize, String> {
     match v.get(key) {
         None => Ok(default),
         Some(x) => {
             let n = x
                 .as_u64()
                 .ok_or(format!("\"{key}\" must be a non-negative integer"))?;
-            if n == 0 || n > DIM_MAX {
-                return Err(format!("\"{key}\" = {n} is outside 1..={DIM_MAX}"));
+            if !(min..=DIM_MAX).contains(&n) {
+                return Err(format!("\"{key}\" = {n} is outside {min}..={DIM_MAX}"));
             }
             Ok(usize::try_from(n).expect("DIM_MAX fits usize"))
         }
     }
 }
 
-/// Like [`dim`] but admits 0 — for knobs where 0 means "disabled"
-/// (the speculation-depth limit).
-fn dim0(v: &Value, key: &str, default: usize) -> Result<usize, String> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(x) => {
-            let n = x
-                .as_u64()
-                .ok_or(format!("\"{key}\" must be a non-negative integer"))?;
-            if n > DIM_MAX {
-                return Err(format!("\"{key}\" = {n} is outside 0..={DIM_MAX}"));
-            }
-            Ok(usize::try_from(n).expect("DIM_MAX fits usize"))
-        }
-    }
+/// An enumerated dimension: `default` when absent, else the level of
+/// `options` it spells.
+fn level<T: Copy, const N: usize>(
+    v: &Value,
+    key: &str,
+    options: [(&'static str, T); N],
+    default: T,
+) -> Result<T, String> {
+    dim_str(v, key)?.map_or(Ok(default), |s| lookup(key, options, s))
 }
 
 fn dim_str<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, String> {
@@ -329,46 +232,38 @@ pub fn spec_from_value(v: &Value) -> Result<CellSpec, String> {
         return Err("cell spec must be a JSON object".into());
     };
     let workload = dim_str(v, "workload")?.ok_or("cell spec needs a \"workload\"")?;
-    let work = WorkSpec::parse(workload)?;
-    let policy = match dim_str(v, "policy")? {
-        None => FetchPolicy::TrueRoundRobin,
-        Some(s) => parse_policy(s).ok_or(format!("unknown policy {s:?} (trr|mrr|cs|ic)"))?,
-    };
-    let predictor = match dim_str(v, "predictor")? {
-        None => PredictorKind::SharedBtb,
-        Some(s) => parse_predictor(s).ok_or(format!("unknown predictor {s:?} (btb|gsh|pbtb)"))?,
-    };
-    let cache = match dim_str(v, "cache")? {
-        None => CacheKind::SetAssociative,
-        Some(s) => parse_cache(s).ok_or(format!("unknown cache {s:?} (sa|dm)"))?,
-    };
+    let d = CellSpec::default();
+    let policies = FetchPolicy::ALL.map(|k| (k.abbrev(), k));
+    let predictors = PredictorKind::ALL.map(|k| (k.abbrev(), k));
+    let caches = CacheKind::ALL.map(|k| (k.abbrev(), k));
     Ok(CellSpec {
-        work,
-        policy,
-        predictor,
-        threads: dim(v, "threads", defaults::THREADS)?,
-        fetch_threads: dim(v, "fetch_threads", defaults::FETCH_THREADS)?,
-        fetch_width: dim(v, "fetch_width", defaults::FETCH_WIDTH)?,
-        su_depth: dim(v, "su_depth", defaults::SU_DEPTH)?,
-        cache,
-        spec_depth: dim0(v, "spec_depth", defaults::SPEC_DEPTH)?,
+        work: WorkSpec::parse(workload)?,
+        policy: level(v, "policy", policies, d.policy)?,
+        predictor: level(v, "predictor", predictors, d.predictor)?,
+        threads: dim(v, "threads", 1, d.threads)?,
+        fetch_threads: dim(v, "fetch_threads", 1, d.fetch_threads)?,
+        fetch_width: dim(v, "fetch_width", 1, d.fetch_width)?,
+        su_depth: dim(v, "su_depth", 1, d.su_depth)?,
+        cache: level(v, "cache", caches, d.cache)?,
+        spec_depth: dim(v, "spec_depth", 0, d.spec_depth)?,
     })
 }
 
 /// Serializes a spec for a request or response.
 #[must_use]
 pub fn spec_to_value(spec: &CellSpec) -> Value {
-    Value::Object(vec![
-        ("workload".into(), spec.work.name().into()),
-        ("policy".into(), policy_abbrev(spec.policy).into()),
-        ("predictor".into(), spec.predictor.abbrev().into()),
-        ("threads".into(), (spec.threads as u64).into()),
-        ("fetch_threads".into(), (spec.fetch_threads as u64).into()),
-        ("fetch_width".into(), (spec.fetch_width as u64).into()),
-        ("su_depth".into(), (spec.su_depth as u64).into()),
-        ("cache".into(), cache_abbrev(spec.cache).into()),
-        ("spec_depth".into(), (spec.spec_depth as u64).into()),
-    ])
+    Value::Object(
+        spec.levels()
+            .into_iter()
+            .map(|(axis, level)| {
+                let value = match level {
+                    Level::Name(name) => name.into(),
+                    Level::Count(n) => (n as u64).into(),
+                };
+                (axis.into(), value)
+            })
+            .collect(),
+    )
 }
 
 /// Builds the `cell` response: the spec dimensions plus every record
@@ -473,16 +368,6 @@ pub fn parse_cell_response(v: &Value) -> Result<(CellSpec, CellRecord), String> 
     Ok((spec, rec))
 }
 
-/// Materializes the searched region a request named.
-#[must_use]
-pub fn search_space(work: WorkSpec, threads: usize, full_space: bool) -> SearchSpace {
-    if full_space {
-        SearchSpace::full(work, threads)
-    } else {
-        SearchSpace::smoke(work, threads)
-    }
-}
-
 /// Builds the `frontier` response for a finished search: the run shape,
 /// the trajectory digest (two servers answering the same request agree
 /// on it iff their trajectory artifacts are byte-equal), and the
@@ -533,7 +418,9 @@ pub fn error_response(reason: &str) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smt_experiments::explore::DEFAULT_WARMUP;
     use smt_experiments::json::parse_value;
+    use smt_workloads::WorkloadKind;
 
     fn sieve4() -> CellSpec {
         CellSpec {
@@ -647,42 +534,35 @@ mod tests {
     #[test]
     fn search_requests_parse_defaults_and_reject_bad_shapes() {
         let minimal = parse_value(r#"{"verb":"search","workload":"sieve"}"#).unwrap();
-        let Ok(Request::Search {
-            work,
-            threads,
-            seed,
-            mode,
-            full_space,
-        }) = Request::parse(&minimal)
-        else {
+        let Ok(Request::Search { space, seed, mode }) = Request::parse(&minimal) else {
             panic!("minimal search parses");
         };
-        assert_eq!(work, WorkSpec::from(WorkloadKind::Sieve));
-        assert_eq!(threads, defaults::THREADS);
+        assert_eq!(*space.work(), WorkSpec::from(WorkloadKind::Sieve));
+        assert_eq!(space.threads(), defaults::THREADS);
         assert_eq!(seed, 0);
         assert!(matches!(mode, EvalMode::Warm { warmup } if warmup == DEFAULT_WARMUP));
-        assert!(!full_space, "space defaults to smoke");
+        assert_eq!(
+            space.axes(),
+            SearchSpace::smoke(WorkloadKind::Sieve.into(), 4).axes(),
+            "space defaults to smoke"
+        );
 
         let explicit = parse_value(
             r#"{"verb":"search","workload":"matrix","threads":2,"seed":7,"warmup":0,"space":"full"}"#,
         )
         .unwrap();
-        let Ok(Request::Search {
-            threads,
-            seed,
-            mode,
-            full_space,
-            ..
-        }) = Request::parse(&explicit)
-        else {
+        let Ok(Request::Search { space, seed, mode }) = Request::parse(&explicit) else {
             panic!("explicit search parses");
         };
-        assert_eq!((threads, seed), (2, 7));
+        assert_eq!((space.threads(), seed), (2, 7));
         assert!(
             matches!(mode, EvalMode::Full),
             "warmup 0 means exact cold runs"
         );
-        assert!(full_space);
+        assert_eq!(
+            space.axes(),
+            SearchSpace::full(WorkloadKind::Matrix.into(), 2).axes()
+        );
 
         for bad in [
             r#"{"verb":"search"}"#,

@@ -382,22 +382,15 @@ fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<boo
             progress,
             cpi,
         } => submit(out, shared, &cells, progress, cpi)?,
-        Request::Search {
-            work,
-            threads,
-            seed,
-            mode,
-            full_space,
-        } => {
+        Request::Search { space, seed, mode } => {
             // Searches run on the handler thread: one search is a whole
             // campaign of cells, so parking a connection on it (rather
             // than a pool worker) keeps submit traffic flowing. The
             // store-level cache still dedups the cells themselves.
-            if let Err(reason) = shared.sched.resolve(&work) {
+            if let Err(reason) = shared.sched.resolve(space.work()) {
                 write_json_line(out, &proto::error_response(&reason))?;
                 return Ok(true);
             }
-            let space = proto::search_space(work, threads, full_space);
             let params = SearchParams {
                 seed,
                 ..SearchParams::default()
@@ -407,9 +400,14 @@ fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<boo
             }));
             match report {
                 Ok(Ok(report)) => {
+                    // Evaluations answered from the store are hits, as a
+                    // submit's cached cells are.
+                    let simulated = report.simulated as u64;
+                    let evaluations = report.outcome.evaluations.len() as u64;
+                    shared.simulated.fetch_add(simulated, Ordering::Relaxed);
                     shared
-                        .simulated
-                        .fetch_add(report.outcome.evaluations.len() as u64, Ordering::Relaxed);
+                        .cached_hits
+                        .fetch_add(evaluations - simulated, Ordering::Relaxed);
                     write_json_line(out, &proto::search_response(&report))?;
                 }
                 Ok(Err(e)) => {

@@ -31,7 +31,6 @@ fn opts(workers: usize) -> SweepOptions {
         scale: Scale::Test,
         workers,
         checkpoint_every: None,
-        batch: None,
         ..SweepOptions::default()
     }
 }
@@ -421,11 +420,27 @@ fn search_verb_answers_one_frontier_and_reruns_agree_on_the_digest() {
         .and_then(Value::as_str)
         .expect("digest string")
         .to_string();
+    let counters = |stream: &mut TcpStream| {
+        let status = roundtrip(stream, r#"{"verb":"status"}"#);
+        let n = |key: &str| status.get(key).and_then(Value::as_u64).expect(key);
+        (n("simulated"), n("cached_hits"))
+    };
+    let evaluations = first.get("evaluations").and_then(Value::as_u64).unwrap();
+    assert_eq!(
+        counters(&mut stream),
+        (evaluations, 0),
+        "a search over a fresh store simulates every evaluation"
+    );
 
     // Same request again: the warm store replays every cell from cache,
     // and the trajectory digest — hence the artifact bytes — must agree.
     let again = roundtrip(&mut stream, request);
     assert_eq!(kind(&again), "frontier");
+    assert_eq!(
+        counters(&mut stream),
+        (evaluations, evaluations),
+        "a repeated search is answered from the store, not simulated"
+    );
     assert_eq!(
         again.get("trajectory_hash").and_then(Value::as_str),
         Some(digest.as_str()),

@@ -123,6 +123,15 @@ impl WorkloadKind {
         }
     }
 
+    /// The benchmark whose [`name`](Self::name) is `name`, ignoring ASCII
+    /// case (`ll7`, `MATRIX`, …).
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<WorkloadKind> {
+        WorkloadKind::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(name))
+    }
+
     /// Which benchmark group the workload belongs to.
     #[must_use]
     pub fn group(self) -> Group {

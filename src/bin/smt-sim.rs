@@ -41,13 +41,6 @@ fn usage() -> &'static str {
        --list               list workloads and exit"
 }
 
-fn parse_workload(name: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         kind: WorkloadKind::Matrix,
@@ -66,7 +59,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
         match arg.as_str() {
             "--workload" => {
                 let name = value("--workload")?;
-                opts.kind = parse_workload(name).ok_or(format!("unknown workload `{name}`"))?;
+                opts.kind =
+                    WorkloadKind::from_name(name).ok_or(format!("unknown workload `{name}`"))?;
                 saw_workload = true;
             }
             "--threads" => {

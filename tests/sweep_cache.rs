@@ -43,7 +43,6 @@ fn opts() -> SweepOptions {
         scale: Scale::Test,
         workers: 2,
         checkpoint_every: Some(500),
-        batch: None,
         code_version: "test-v1".to_string(),
         corpus: None,
     }

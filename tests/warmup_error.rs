@@ -108,20 +108,20 @@ struct Variant {
 const VARIANTS: &[Variant] = &[
     Variant {
         tag: "su16",
-        apply: |s| s.su_depths = vec![16],
+        apply: |s| s.grid.su_depths = vec![16],
     },
     Variant {
         tag: "dm+gshare",
         apply: |s| {
-            s.caches = vec![CacheKind::DirectMapped];
-            s.predictors = vec![PredictorKind::Gshare];
+            s.grid.caches = vec![CacheKind::DirectMapped];
+            s.grid.predictors = vec![PredictorKind::Gshare];
         },
     },
     Variant {
         tag: "ic+sd2",
         apply: |s| {
-            s.policies = vec![FetchPolicy::Icount];
-            s.spec_depths = vec![2];
+            s.grid.policies = vec![FetchPolicy::Icount];
+            s.grid.spec_depths = vec![2];
         },
     },
 ];
@@ -151,13 +151,13 @@ fn corpus() -> Arc<Corpus> {
 /// machine at this workload/thread count, before a variant is applied.
 fn singleton(work: WorkSpec, threads: usize) -> SearchSpace {
     let mut s = SearchSpace::smoke(work, threads);
-    s.policies = vec![FetchPolicy::TrueRoundRobin];
-    s.predictors = vec![PredictorKind::SharedBtb];
-    s.fetch_threads = vec![1];
-    s.fetch_widths = vec![4];
-    s.su_depths = vec![32];
-    s.caches = vec![CacheKind::SetAssociative];
-    s.spec_depths = vec![0];
+    s.grid.policies = vec![FetchPolicy::TrueRoundRobin];
+    s.grid.predictors = vec![PredictorKind::SharedBtb];
+    s.grid.fetch_threads = vec![1];
+    s.grid.fetch_widths = vec![4];
+    s.grid.su_depths = vec![32];
+    s.grid.caches = vec![CacheKind::SetAssociative];
+    s.grid.spec_depths = vec![0];
     s
 }
 
