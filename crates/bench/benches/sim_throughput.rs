@@ -19,10 +19,15 @@
 //! * `<substring>` — any other non-flag argument filters cases by name,
 //!   criterion-style (`simulate/4thr/Matrix` runs just that case; handy
 //!   under a profiler).
+//!
+//! The `checkpoint_splice` group times the four calls of a checkpoint
+//! splice separately (`<case>/median_us`, the median per-call time over
+//! repeated samples) rather than a simulation.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use smt_core::{FetchPolicy, SimConfig, Simulator};
+use smt_core::{FetchPolicy, SimConfig, Simulator, Snapshot};
 use smt_experiments::{json, Cell};
 use smt_isa::builder::ProgramBuilder;
 use smt_isa::Program;
@@ -55,6 +60,12 @@ struct CaseResult {
     best_ms: f64,
     cycles: u64,
     mcps: f64,
+}
+
+/// One timed call of the splice group, for the optional JSON dump.
+struct CallResult {
+    name: String,
+    median_us: f64,
 }
 
 /// Times `body` (which returns a simulated-cycle count) and prints a
@@ -219,6 +230,74 @@ fn bench_trace_overhead(out: &mut Vec<CaseResult>, opts: &Opts) {
     });
 }
 
+/// Times `body` as the median per-call time over samples of `reps`
+/// calls each, taken until `opts.window` of measured time accumulates
+/// (at least 5 samples, at most `opts.max_iters` × 5).
+fn bench_call(out: &mut Vec<CallResult>, opts: &Opts, name: &str, mut body: impl FnMut()) {
+    if let Some(f) = &opts.filter {
+        if !name.contains(f.as_str()) {
+            return;
+        }
+    }
+    const REPS: u32 = 50;
+    body(); // warmup
+    let mut samples = Vec::new();
+    let mut spent = Duration::ZERO;
+    while (spent < opts.window || samples.len() < 5) && samples.len() < opts.max_iters * 5 {
+        let start = Instant::now();
+        for _ in 0..REPS {
+            body();
+        }
+        let elapsed = start.elapsed();
+        spent += elapsed;
+        samples.push(elapsed.as_secs_f64() * 1e6 / f64::from(REPS));
+    }
+    samples.sort_by(f64::total_cmp);
+    let median_us = samples[samples.len() / 2];
+    println!(
+        "{name:<44} {median_us:>10.2} us/call   ({} samples of {REPS})",
+        samples.len()
+    );
+    out.push(CallResult {
+        name: name.to_string(),
+        median_us,
+    });
+}
+
+/// One checkpoint splice, call by call: `checkpoint` + `to_bytes`,
+/// `Snapshot::from_bytes`, `Simulator::restore`, and a cold
+/// `Simulator::try_new` for scale. The machine is test-scale Sieve stopped
+/// after 300 cycles, with blocks in flight.
+fn bench_checkpoint_splice(out: &mut Vec<CallResult>, opts: &Opts) {
+    println!("# checkpoint_splice: Sieve, Scale::Test, after 300 cycles");
+    for threads in [1, 4, 8] {
+        let program = workload(WorkloadKind::Sieve, Scale::Test)
+            .build(threads)
+            .expect("kernel fits");
+        let config = SimConfig::default().with_threads(threads);
+        let mut sim = Simulator::new(config.clone(), &program);
+        for _ in 0..300 {
+            sim.step().expect("steps");
+        }
+        assert!(!sim.is_quiescent(), "blocks must be in flight");
+        let wire = sim.checkpoint().to_bytes();
+        let snap = Snapshot::from_bytes(&wire).expect("round trip");
+        let case = |call: &str| format!("checkpoint_splice/{threads}thr/{call}");
+        bench_call(out, opts, &case("checkpoint_to_bytes"), || {
+            black_box(sim.checkpoint().to_bytes());
+        });
+        bench_call(out, opts, &case("from_bytes"), || {
+            black_box(Snapshot::from_bytes(black_box(&wire)).expect("decodes"));
+        });
+        bench_call(out, opts, &case("restore"), || {
+            black_box(Simulator::restore(config.clone(), &program, &snap).expect("restores"));
+        });
+        bench_call(out, opts, &case("try_new"), || {
+            black_box(Simulator::try_new(config.clone(), &program).expect("builds"));
+        });
+    }
+}
+
 fn bench_interpreter(out: &mut Vec<CaseResult>, opts: &Opts) {
     println!("# functional interpreter");
     let w = workload(WorkloadKind::Matrix, Scale::Test);
@@ -259,6 +338,8 @@ fn main() {
     bench_fetch_policies(&mut results, &opts);
     bench_trace_overhead(&mut results, &opts);
     bench_interpreter(&mut results, &opts);
+    let mut calls = Vec::new();
+    bench_checkpoint_splice(&mut calls, &opts);
 
     if let Some(path) = json_path {
         let mut fields: Vec<(String, Cell)> = Vec::new();
@@ -270,6 +351,9 @@ fn main() {
             fields.push((format!("{}/mcycles_per_s", r.name), Cell::Float(r.mcps)));
             fields.push((format!("{}/best_ms", r.name), Cell::Float(r.best_ms)));
             fields.push((format!("{}/cycles", r.name), Cell::Int(r.cycles)));
+        }
+        for c in &calls {
+            fields.push((format!("{}/median_us", c.name), Cell::Float(c.median_us)));
         }
         let borrowed: Vec<(&str, Cell)> = fields
             .iter()

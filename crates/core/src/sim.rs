@@ -160,7 +160,7 @@ impl<'p> Simulator<'p> {
     /// * [`SimError::RegisterWindow`] if the program names a register
     ///   outside the per-thread window implied by the thread count.
     pub fn try_new(config: SimConfig, program: &'p Program) -> Result<Self, SimError> {
-        Self::build(config, vec![program], false)
+        Self::build(config, vec![program])
     }
 
     /// Fallible constructor for a heterogeneous **program mix**: one
@@ -182,44 +182,17 @@ impl<'p> Simulator<'p> {
     ///   `config.threads` entries,
     /// * everything [`try_new`](Self::try_new) reports.
     pub fn try_new_mix(config: SimConfig, programs: &[&'p Program]) -> Result<Self, SimError> {
-        if programs.len() != config.threads {
-            return Err(SimError::Program(format!(
-                "mix of {} programs for {} threads",
-                programs.len(),
-                config.threads
-            )));
-        }
-        let multiprogram = config.threads > 1;
-        let programs = if multiprogram {
-            programs.to_vec()
-        } else {
-            vec![programs[0]]
-        };
-        Self::build(config, programs, multiprogram)
+        let programs = mix_programs(&config, programs)?;
+        Self::build(config, programs)
     }
 
-    fn build(
-        config: SimConfig,
-        programs: Vec<&'p Program>,
-        multiprogram: bool,
-    ) -> Result<Self, SimError> {
-        config.validate()?;
+    /// Cold construction: every component empty, the register file
+    /// seeded with each thread's place in the gang, memory holding the
+    /// program images.
+    fn build(config: SimConfig, programs: Vec<&'p Program>) -> Result<Self, SimError> {
+        check_fit(&config, &programs)?;
+        let multiprogram = programs.len() > 1;
         let window = window_size(config.threads);
-        for program in &programs {
-            for (pc, insn) in program.decoded().iter().enumerate() {
-                let regs = [insn.dest, insn.srcs[0], insn.srcs[1]];
-                for reg in regs.into_iter().flatten() {
-                    if reg.index() >= window {
-                        return Err(SimError::RegisterWindow {
-                            pc,
-                            reg,
-                            window,
-                            threads: config.threads,
-                        });
-                    }
-                }
-            }
-        }
         let mut regfile = vec![0u64; window * config.threads];
         for tid in 0..config.threads {
             // A mix thread is thread 0 of 1 from its program's view; an
@@ -232,29 +205,12 @@ impl<'p> Simulator<'p> {
             regfile[tid * window] = tid_seed;
             regfile[tid * window + 1] = n_seed;
         }
-        let (mem, mem_base, mem_span) = if multiprogram {
-            let mut words: Vec<u64> = Vec::new();
-            let mut base = Vec::with_capacity(config.threads);
-            let mut span = Vec::with_capacity(config.threads);
-            for p in &programs {
-                base.push(words.len() as u64 * WORD_BYTES);
-                let image = p.data().to_words();
-                span.push(image.len() as u64 * WORD_BYTES);
-                words.extend(image);
-            }
-            (MainMemory::from_words(words), base, span)
-        } else {
-            let mem = MainMemory::from_image(programs[0].data());
-            let size = mem.size();
-            (mem, vec![0; config.threads], vec![size; config.threads])
-        };
+        let (mem_base, mem_span) = segments(&programs, config.threads);
         let entries: Vec<usize> = (0..config.threads)
             .map(|tid| programs[if multiprogram { tid } else { 0 }].entry())
             .collect();
-        let mut su = SchedulingUnit::new(config.su_blocks(), config.block_size);
-        su.reserve_threads(config.threads);
         Ok(Simulator {
-            su,
+            su: SchedulingUnit::new(config.su_blocks(), config.block_size),
             iu: InstructionUnit::with_entries(
                 config.fetch_policy,
                 &entries,
@@ -266,7 +222,7 @@ impl<'p> Simulator<'p> {
             tags: TagAllocator::new(config.su_depth),
             regfile,
             window,
-            mem,
+            mem: MainMemory::from_words(baseline_words(&programs)),
             cache: DataCache::new(config.cache),
             sb: StoreBuffer::new(config.store_buffer),
             fetch_queue: VecDeque::with_capacity(config.fetch_threads),
@@ -327,29 +283,6 @@ impl<'p> Simulator<'p> {
             });
         }
         Ok(self.mem_base[tid] + addr)
-    }
-
-    /// The per-thread identity vector stored in snapshots: one hash for
-    /// the homogeneous case, one per thread for a mix.
-    fn identity_vec(&self) -> Vec<u64> {
-        if self.multiprogram {
-            self.programs.iter().map(|p| program_identity(p)).collect()
-        } else {
-            vec![program_identity(self.programs[0])]
-        }
-    }
-
-    /// The initial flat-memory contents — the snapshot delta baseline.
-    fn baseline_words(&self) -> Vec<u64> {
-        if self.multiprogram {
-            let mut words = Vec::new();
-            for p in &self.programs {
-                words.extend(p.data().to_words());
-            }
-            words
-        } else {
-            self.programs[0].data().to_words()
-        }
     }
 
     /// The configuration of this run.
@@ -1586,7 +1519,7 @@ impl<'p> Simulator<'p> {
         w.section(sec::STORE_BUFFER);
         self.sb.save(&mut w);
         w.section(sec::MEMORY);
-        self.mem.save_delta(&self.baseline_words(), &mut w);
+        self.mem.save_delta(&baseline_words(&self.programs), &mut w);
         w.section(sec::FETCH_BUFFER);
         w.put_usize(self.fetch_queue.len());
         for b in &self.fetch_queue {
@@ -1605,7 +1538,7 @@ impl<'p> Simulator<'p> {
         save_stats(&self.stats, &mut w);
         Snapshot {
             config_hash: config_identity(&self.config),
-            program_hashes: self.identity_vec(),
+            program_hashes: identities(&self.programs),
             cycle: self.cycle,
             warm: None,
             payload: w.into_bytes(),
@@ -1694,10 +1627,10 @@ impl<'p> Simulator<'p> {
             w.put_bool(self.iu.is_retired(tid));
         }
         w.section(wsec::MEMORY);
-        self.mem.save_delta(&self.baseline_words(), &mut w);
+        self.mem.save_delta(&baseline_words(&self.programs), &mut w);
         Ok(Snapshot {
             config_hash: config_identity(&self.config),
-            program_hashes: self.identity_vec(),
+            program_hashes: identities(&self.programs),
             cycle: self.cycle,
             warm: Some(smt_checkpoint::WarmIdentity {
                 warm_hash: warm::identity(&self.config, &relaxed),
@@ -1781,7 +1714,7 @@ impl<'p> Simulator<'p> {
                 w.warm_hash
             )));
         }
-        let want = self.identity_vec();
+        let want = identities(&self.programs);
         if snapshot.program_hashes != want {
             return Err(SimError::Snapshot(format!(
                 "warm snapshot was taken of program(s) {:#018x?}, not {want:#018x?}",
@@ -1830,7 +1763,7 @@ impl<'p> Simulator<'p> {
             }
         }
         r.expect_section(wsec::MEMORY)?;
-        self.mem = MainMemory::restore_delta(&self.baseline_words(), &mut r)?;
+        self.mem = MainMemory::restore_delta(baseline_words(&self.programs), &mut r)?;
         r.finish()?;
         Ok(())
     }
@@ -1849,18 +1782,7 @@ impl<'p> Simulator<'p> {
         program: &'p Program,
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        if snapshot.warm.is_some() {
-            return Err(SimError::Snapshot(
-                "warm snapshot holds architectural state only; use fork_warm()".into(),
-            ));
-        }
-        let want = config_identity(&config);
-        if snapshot.config_hash != want {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken under config {:#018x}, not {want:#018x}",
-                snapshot.config_hash
-            )));
-        }
+        check_exact_identity(&config, snapshot, "fork_warm()")?;
         let want = program_identity(program);
         if snapshot.program_hashes.as_slice() != [want] {
             return Err(SimError::Snapshot(format!(
@@ -1868,10 +1790,10 @@ impl<'p> Simulator<'p> {
                 snapshot.program_hashes
             )));
         }
-        let mut sim = Self::try_new(config, program)?;
-        sim.apply_snapshot(snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))?;
-        Ok(sim)
+        let programs = vec![program];
+        check_fit(&config, &programs)?;
+        Self::from_snapshot(config, programs, snapshot)
+            .map_err(|e| SimError::Snapshot(e.to_string()))
     }
 
     /// Rebuilds a simulator from a snapshot of a heterogeneous mix taken
@@ -1889,116 +1811,107 @@ impl<'p> Simulator<'p> {
         programs: &[&'p Program],
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        if snapshot.warm.is_some() {
-            return Err(SimError::Snapshot(
-                "warm snapshot holds architectural state only; use fork_warm_mix()".into(),
-            ));
-        }
-        let want = config_identity(&config);
-        if snapshot.config_hash != want {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken under config {:#018x}, not {want:#018x}",
-                snapshot.config_hash
-            )));
-        }
-        let mut sim = Self::try_new_mix(config, programs)?;
-        let want = sim.identity_vec();
+        check_exact_identity(&config, snapshot, "fork_warm_mix()")?;
+        let programs = mix_programs(&config, programs)?;
+        check_fit(&config, &programs)?;
+        let want = identities(&programs);
         if snapshot.program_hashes != want {
             return Err(SimError::Snapshot(format!(
                 "snapshot was taken of program(s) {:#018x?}, not {want:#018x?}",
                 snapshot.program_hashes
             )));
         }
-        sim.apply_snapshot(snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))?;
-        Ok(sim)
+        Self::from_snapshot(config, programs, snapshot)
+            .map_err(|e| SimError::Snapshot(e.to_string()))
     }
 
-    /// Overwrites a freshly constructed machine with the snapshot's
-    /// state and recomputes everything the snapshot omits: the memory
-    /// ordering queues and forwarding index (rescanned from the
-    /// restored window), the tag allocator's resident set, and the
-    /// renaming indexes (rebuilt inside [`SchedulingUnit::restore`]).
-    fn apply_snapshot(&mut self, snapshot: &Snapshot) -> Result<(), DecodeError> {
+    /// Builds the machine an exact snapshot describes, decoding each
+    /// component once, straight from the payload, and recomputing what
+    /// the snapshot omits: the memory-ordering queues (rescanned from
+    /// the restored window), the tag allocator's resident set, and the
+    /// scheduling unit's own indexes (rebuilt inside
+    /// [`SchedulingUnit::restore`]). The caller has checked the
+    /// identities and [`check_fit`].
+    fn from_snapshot(
+        config: SimConfig,
+        programs: Vec<&'p Program>,
+        snapshot: &Snapshot,
+    ) -> Result<Self, DecodeError> {
         let malformed = DecodeError::Malformed;
-        let decoded: Vec<&[smt_isa::DecodedInsn]> = (0..self.config.threads)
-            .map(|tid| self.program_of(tid).decoded())
+        let threads = config.threads;
+        let multiprogram = programs.len() > 1;
+        let decoded: Vec<&[smt_isa::DecodedInsn]> = (0..threads)
+            .map(|tid| programs[if multiprogram { tid } else { 0 }].decoded())
             .collect();
         let mut r = Reader::new(&snapshot.payload);
         r.expect_section(sec::CORE)?;
-        self.cycle = r.take_u64()?;
-        if self.cycle != snapshot.cycle {
+        let cycle = r.take_u64()?;
+        if cycle != snapshot.cycle {
             return Err(malformed(format!(
-                "header cycle {} disagrees with payload cycle {}",
-                snapshot.cycle, self.cycle
+                "header cycle {} disagrees with payload cycle {cycle}",
+                snapshot.cycle
             )));
         }
-        self.next_uid = r.take_u64()?;
+        let next_uid = r.take_u64()?;
+        let window = window_size(threads);
         let n = r.take_usize()?;
-        if n != self.regfile.len() {
+        if n != window * threads {
             return Err(malformed(format!(
                 "register file of {n} words, partition holds {}",
-                self.regfile.len()
+                window * threads
             )));
         }
-        for slot in &mut self.regfile {
-            *slot = r.take_u64()?;
+        let mut regfile = Vec::with_capacity(n);
+        for _ in 0..n {
+            regfile.push(r.take_u64()?);
         }
         r.expect_section(sec::SU)?;
-        let mut su = SchedulingUnit::restore(
-            self.config.su_blocks(),
-            self.config.block_size,
-            &mut r,
-            &decoded,
-        )?;
-        su.reserve_threads(self.config.threads);
+        let su = SchedulingUnit::restore(config.su_blocks(), config.block_size, &mut r, &decoded)?;
         r.expect_section(sec::FETCH)?;
-        self.iu = InstructionUnit::restore(
-            self.config.threads,
-            self.config.fetch_policy,
-            self.config.fetch_width,
-            self.config.aligned_fetch,
+        let iu = InstructionUnit::restore(
+            threads,
+            config.fetch_policy,
+            config.fetch_width,
+            config.aligned_fetch,
             &mut r,
         )?;
         r.expect_section(sec::PREDICTOR)?;
-        self.predictor = Predictor::restore(self.config.predictor, self.config.threads, &mut r)?;
+        let predictor = Predictor::restore(config.predictor, config.btb_entries, threads, &mut r)?;
         r.expect_section(sec::FU)?;
-        self.fu = FuPool::restore(self.config.fu, &mut r)?;
+        let fu = FuPool::restore(config.fu, &mut r)?;
         r.expect_section(sec::TAGS)?;
         // Exactly the resident window entries hold live tags: commit
         // frees a store's tag before the store-buffer entry drains, so
         // buffered stores reference already-freed ids.
-        let resident = su.resident_tags();
-        self.tags = TagAllocator::restore(self.config.su_depth, &mut r, &resident)?;
+        let tags = TagAllocator::restore(config.su_depth, &mut r, &su.resident_tags())?;
         r.expect_section(sec::CACHE)?;
-        self.cache = DataCache::restore(self.config.cache, &mut r)?;
+        let cache = DataCache::restore(config.cache, &mut r)?;
         r.expect_section(sec::STORE_BUFFER)?;
-        self.sb = StoreBuffer::restore(self.config.store_buffer, &mut r)?;
+        let sb = StoreBuffer::restore(config.store_buffer, &mut r)?;
         r.expect_section(sec::MEMORY)?;
-        self.mem = MainMemory::restore_delta(&self.baseline_words(), &mut r)?;
+        let mem = MainMemory::restore_delta(baseline_words(&programs), &mut r)?;
         r.expect_section(sec::FETCH_BUFFER)?;
         let queued = r.take_usize()?;
-        if queued > self.config.fetch_threads {
+        if queued > config.fetch_threads {
             return Err(malformed(format!(
                 "{queued} queued fetch groups with {} fetch ports",
-                self.config.fetch_threads
+                config.fetch_threads
             )));
         }
-        self.fetch_queue = VecDeque::with_capacity(self.config.fetch_threads);
+        let mut fetch_queue = VecDeque::with_capacity(config.fetch_threads);
         for _ in 0..queued {
             let tid = r.take_usize()?;
-            if tid >= self.config.threads {
+            if tid >= threads {
                 return Err(malformed(format!(
-                    "fetch group owned by thread {tid} of {}",
-                    self.config.threads
+                    "fetch group owned by thread {tid} of {threads}"
                 )));
             }
             let fetched_at = r.take_u64()?;
             let n = r.take_usize()?;
-            if n == 0 || n > self.config.fetch_width {
+            if n == 0 || n > config.fetch_width {
                 return Err(malformed(format!(
                     "fetch group of {n} instructions (fetch width {})",
-                    self.config.fetch_width
+                    config.fetch_width
                 )));
             }
             let mut insns = Vec::with_capacity(n);
@@ -2016,54 +1929,73 @@ impl<'p> Simulator<'p> {
                     predicted_target,
                 });
             }
-            self.fetch_queue.push_back(FetchedBlock {
+            fetch_queue.push_back(FetchedBlock {
                 tid,
                 insns,
                 fetched_at,
             });
         }
         r.expect_section(sec::STATS)?;
-        self.stats = restore_stats(&mut r)?;
-        if self.stats.committed.len() != self.config.threads {
+        let stats = restore_stats(&mut r)?;
+        if stats.committed.len() != threads {
             return Err(malformed(format!(
-                "commit counters for {} threads, config has {}",
-                self.stats.committed.len(),
-                self.config.threads
+                "commit counters for {} threads, config has {threads}",
+                stats.committed.len()
             )));
         }
-        if self.stats.issue_histogram.len() != self.config.issue_width + 1 {
+        if stats.issue_histogram.len() != config.issue_width + 1 {
             return Err(malformed(format!(
                 "issue histogram of {} bins for issue width {}",
-                self.stats.issue_histogram.len(),
-                self.config.issue_width
+                stats.issue_histogram.len(),
+                config.issue_width
             )));
         }
         r.finish()?;
 
-        // Rebuild the derived cross-references from the restored window
-        // (the scheduling unit rebuilt its own indexes — renaming,
-        // waiters, forwarding — inside `SchedulingUnit::restore`).
-        self.memsync = vec![VecDeque::with_capacity(self.config.su_depth); self.config.threads];
+        // Outstanding (not yet written back) store/sync entries populate
+        // the per-thread ordering queues; blocks iterate oldest-first, so
+        // each queue comes out age-ordered.
+        let mut memsync = vec![VecDeque::with_capacity(config.su_depth); threads];
         for bi in 0..su.num_blocks() {
             let tid = su.block_tid(bi);
-            if tid >= self.config.threads {
+            if tid >= threads {
                 return Err(malformed(format!(
-                    "resident block of thread {tid} in a {}-thread run",
-                    self.config.threads
+                    "resident block of thread {tid} in a {threads}-thread run"
                 )));
             }
             let bid = su.block_id(bi);
             for ei in 0..su.block_len(bi) {
-                // Outstanding (not yet written back) store/sync entries
-                // populate the per-thread ordering queues; blocks iterate
-                // oldest-first, so each queue comes out age-ordered.
                 if su.insn_at(bi, ei).is_memsync() && !su.is_done_at(bi, ei) {
-                    self.memsync[tid].push_back((bid, ei));
+                    memsync[tid].push_back((bid, ei));
                 }
             }
         }
-        self.su = su;
-        Ok(())
+        let (mem_base, mem_span) = segments(&programs, threads);
+        Ok(Simulator {
+            su,
+            iu,
+            predictor,
+            fu,
+            tags,
+            regfile,
+            window,
+            mem,
+            cache,
+            sb,
+            fetch_queue,
+            memsync,
+            decode_buf: Vec::with_capacity(config.block_size),
+            occupancy_buf: vec![0; threads],
+            next_uid,
+            fetch_suppressed: false,
+            stats,
+            cycle,
+            config,
+            programs,
+            multiprogram,
+            mem_base,
+            mem_span,
+        })
     }
 
     /// Renders the full machine state for debugging (threads, fetch buffer,
@@ -2129,6 +2061,110 @@ impl<'p> Simulator<'p> {
         );
         out
     }
+}
+
+/// Checks that `programs` can run on a machine configured by `config`:
+/// the configuration validates and no program names a register outside
+/// the per-thread window its thread count implies. Cold construction and
+/// restore both call it, so neither admits a machine the other refuses.
+fn check_fit(config: &SimConfig, programs: &[&Program]) -> Result<(), SimError> {
+    config.validate()?;
+    let window = window_size(config.threads);
+    for program in programs {
+        for (pc, insn) in program.decoded().iter().enumerate() {
+            let regs = [insn.dest, insn.srcs[0], insn.srcs[1]];
+            for reg in regs.into_iter().flatten() {
+                if reg.index() >= window {
+                    return Err(SimError::RegisterWindow {
+                        pc,
+                        reg,
+                        window,
+                        threads: config.threads,
+                    });
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The program list of a mix: one per thread, or the one program of a
+/// single-thread mix (architecturally the homogeneous machine).
+fn mix_programs<'p>(
+    config: &SimConfig,
+    programs: &[&'p Program],
+) -> Result<Vec<&'p Program>, SimError> {
+    if programs.len() != config.threads {
+        return Err(SimError::Program(format!(
+            "mix of {} programs for {} threads",
+            programs.len(),
+            config.threads
+        )));
+    }
+    Ok(if config.threads > 1 {
+        programs.to_vec()
+    } else {
+        vec![programs[0]]
+    })
+}
+
+/// The checks an exact restore makes before decoding: the snapshot is not
+/// a warm one (`fork` names the call that takes those), and it was taken
+/// under `config`.
+fn check_exact_identity(
+    config: &SimConfig,
+    snapshot: &Snapshot,
+    fork: &str,
+) -> Result<(), SimError> {
+    if snapshot.warm.is_some() {
+        return Err(SimError::Snapshot(format!(
+            "warm snapshot holds architectural state only; use {fork}"
+        )));
+    }
+    let want = config_identity(config);
+    if snapshot.config_hash != want {
+        return Err(SimError::Snapshot(format!(
+            "snapshot was taken under config {:#018x}, not {want:#018x}",
+            snapshot.config_hash
+        )));
+    }
+    Ok(())
+}
+
+/// The identity vector stored in snapshots: one hash per entry of a
+/// machine's program list (one for the homogeneous case, one per thread
+/// for a mix).
+fn identities(programs: &[&Program]) -> Vec<u64> {
+    programs.iter().map(|p| program_identity(p)).collect()
+}
+
+/// The initial flat-memory contents — the program images, concatenated
+/// for a mix — which is also the snapshot delta baseline.
+fn baseline_words(programs: &[&Program]) -> Vec<u64> {
+    match programs {
+        [p] => p.data().to_words(),
+        _ => programs.iter().flat_map(|p| p.data().to_words()).collect(),
+    }
+}
+
+/// Each thread's data segment of the flat memory, as `(byte offsets,
+/// byte sizes)`: every thread sees all of it in the homogeneous case, and
+/// a mix thread sees its own program's image.
+fn segments(programs: &[&Program], threads: usize) -> (Vec<u64>, Vec<u64>) {
+    let image_bytes = |p: &Program| p.data().size / WORD_BYTES * WORD_BYTES;
+    if let [p] = programs {
+        return (vec![0; threads], vec![image_bytes(p); threads]);
+    }
+    let span: Vec<u64> = programs.iter().map(|p| image_bytes(p)).collect();
+    let base = span
+        .iter()
+        .scan(0, |next, &size| {
+            let at = *next;
+            *next += size;
+            Some(at)
+        })
+        .collect();
+    (base, span)
 }
 
 /// Serializes every [`SimStats`] field. The cache and functional-unit

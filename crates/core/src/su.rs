@@ -50,8 +50,11 @@
 //!   Squashed entries are invalidated lazily: a popped record is discarded
 //!   unless it still names a resident entry executing toward that deadline.
 //! * **Producer lists** — decode rename lookup resolves `(tid, reg)` to the
-//!   youngest in-flight producer through an age-ordered list of handles per
-//!   architectural register.
+//!   youngest in-flight producer. Each `(tid, reg)` pair heads an intrusive
+//!   doubly linked list threaded through `prod_prev`/`prod_next`, youngest
+//!   at `prod_tail`; decode appends at the tail, and commit and squash
+//!   unlink in O(1). The table is sized for [`MAX_THREADS`] up front, so a
+//!   unit costs the same few allocations at every thread count.
 //! * **Forwarding chains** — completed, unfaulted stores are linked into
 //!   one of a fixed set of address-hashed buckets, youngest first, so a
 //!   load's store-to-load forwarding probe walks only resident stores that
@@ -68,9 +71,7 @@
 //! [`broadcast`]: SchedulingUnit::broadcast
 //! [`pop_completion`]: SchedulingUnit::pop_completion
 
-use std::collections::VecDeque;
-
-use smt_isa::{DecodedInsn, REG_FILE_SIZE};
+use smt_isa::{DecodedInsn, MAX_THREADS, REG_FILE_SIZE};
 use smt_uarch::Tag;
 
 use crate::config::CommitPolicy;
@@ -329,10 +330,13 @@ pub struct SchedulingUnit {
     /// Next link per slot (chains are sorted youngest first).
     fwd_next: Vec<u16>,
     // ---- rename index ----
-    /// Age-ordered in-flight producer handles, oldest at the front, in a
-    /// flat table indexed by `tid * REG_FILE_SIZE + reg` (grown on demand —
-    /// the unit does not know the thread count).
-    producers: Vec<VecDeque<u16>>,
+    /// Youngest in-flight producer of each `(tid, reg)`, indexed by
+    /// `tid * REG_FILE_SIZE + reg` ([`NO_SRC`] = none in flight).
+    prod_tail: Vec<u16>,
+    /// Next-older producer of the same `(tid, reg)`, per slot.
+    prod_prev: Vec<u16>,
+    /// Next-younger producer of the same `(tid, reg)`, per slot.
+    prod_next: Vec<u16>,
     // ---- writeback selection ----
     /// Issued entries as `(done_at, block id, handle)`, kept sorted
     /// ascending from `comp_head`; `completions[comp_head]` is the next
@@ -414,22 +418,12 @@ impl SchedulingUnit {
             waiter_next: vec![NO_SRC; slots * 2],
             fwd_head: [NO_SRC; FWD_BUCKETS],
             fwd_next: vec![NO_SRC; slots],
-            producers: Vec::new(),
+            prod_tail: vec![NO_SRC; MAX_THREADS * REG_FILE_SIZE],
+            prod_prev: vec![NO_SRC; slots],
+            prod_next: vec![NO_SRC; slots],
             completions: Vec::with_capacity(slots),
             comp_head: 0,
             squash_buf: Vec::with_capacity(slots),
-        }
-    }
-
-    /// Pre-grows the rename index for `n` threads so the first decode of
-    /// each thread does not pay for table growth, pre-sizing each producer
-    /// list to the window (its hard upper bound) so steady state never
-    /// touches the allocator.
-    pub fn reserve_threads(&mut self, n: usize) {
-        let slots = self.capacity_blocks << self.shift;
-        if self.producers.len() < n * REG_FILE_SIZE {
-            self.producers
-                .resize_with(n * REG_FILE_SIZE, || VecDeque::with_capacity(slots));
         }
     }
 
@@ -832,7 +826,7 @@ impl SchedulingUnit {
             entries.len(),
             self.block_size
         );
-        debug_assert!(tid <= u8::MAX as usize, "thread id exceeds the slab");
+        debug_assert!(tid < MAX_THREADS, "thread id exceeds the rename index");
         let row = self.free.pop().expect("scheduling unit full") as usize;
         let id = self.next_block_id;
         self.next_block_id += 1;
@@ -877,7 +871,7 @@ impl SchedulingUnit {
                 ready |= 1 << ei;
             }
             if let Some(reg) = e.insn.dest {
-                self.producer_list(tid, reg.index()).push_back(h as u16);
+                self.index_producer(tid, reg, h);
             }
         }
         self.mask_unissued[row] = unissued;
@@ -923,16 +917,16 @@ impl SchedulingUnit {
         }
     }
 
-    /// Mutable producer list for `(tid, reg)`, growing the flat table on
-    /// first touch of a new thread.
-    fn producer_list(&mut self, tid: usize, reg: usize) -> &mut VecDeque<u16> {
-        let idx = tid * REG_FILE_SIZE + reg;
-        if idx >= self.producers.len() {
-            let slots = self.capacity_blocks << self.shift;
-            self.producers
-                .resize_with((tid + 1) * REG_FILE_SIZE, || VecDeque::with_capacity(slots));
+    /// Appends the producer at slot `h` as the youngest of `(tid, reg)`.
+    fn index_producer(&mut self, tid: usize, reg: smt_isa::Reg, h: usize) {
+        let key = tid * REG_FILE_SIZE + reg.index();
+        let tail = self.prod_tail[key];
+        self.prod_prev[h] = tail;
+        self.prod_next[h] = NO_SRC;
+        if tail != NO_SRC {
+            self.prod_next[tail as usize] = h as u16;
         }
-        &mut self.producers[idx]
+        self.prod_tail[key] = h as u16;
     }
 
     /// Decode-time operand lookup: the *youngest* in-flight producer of
@@ -941,13 +935,10 @@ impl SchedulingUnit {
     #[must_use]
     #[inline(always)]
     pub fn lookup(&self, tid: usize, reg: smt_isa::Reg) -> Lookup {
-        let Some(&h) = self
-            .producers
-            .get(tid * REG_FILE_SIZE + reg.index())
-            .and_then(VecDeque::back)
-        else {
+        let h = self.prod_tail[tid * REG_FILE_SIZE + reg.index()];
+        if h == NO_SRC {
             return Lookup::NotFound;
-        };
+        }
         let (row, ei) = self.split(h as usize);
         debug_assert_eq!(self.insn[h as usize].dest, Some(reg));
         if self.mask_done[row] & (1 << ei) != 0 {
@@ -1216,22 +1207,17 @@ impl SchedulingUnit {
             }
         }
         if let Some(reg) = self.insn[h].dest {
-            let row = h >> self.shift;
-            let tid = self.row_tid[row] as usize;
-            let list = &mut self.producers[tid * REG_FILE_SIZE + reg.index()];
-            // Commit frees the thread's oldest block (front of its lists),
-            // squash removes its youngest entries (back) — the scan only
-            // runs for the entries in between, which neither path produces.
-            if list.front() == Some(&(h as u16)) {
-                list.pop_front();
-            } else if list.back() == Some(&(h as u16)) {
-                list.pop_back();
+            let (prev, next) = (self.prod_prev[h], self.prod_next[h]);
+            if prev != NO_SRC {
+                self.prod_next[prev as usize] = next;
+            }
+            if next != NO_SRC {
+                self.prod_prev[next as usize] = prev;
             } else {
-                let pos = list
-                    .iter()
-                    .rposition(|&x| x as usize == h)
-                    .expect("producer was indexed");
-                list.remove(pos);
+                let tid = self.row_tid[h >> self.shift] as usize;
+                let key = tid * REG_FILE_SIZE + reg.index();
+                debug_assert_eq!(self.prod_tail[key] as usize, h, "producer was indexed");
+                self.prod_tail[key] = prev;
             }
         }
         self.fwd_unlink(h);
@@ -1481,6 +1467,10 @@ impl SchedulingUnit {
         let malformed = |what: String| -> smt_checkpoint::DecodeError {
             smt_checkpoint::DecodeError::Malformed(what)
         };
+        debug_assert!(
+            decoded.len() <= MAX_THREADS,
+            "more threads than the rename index"
+        );
         let mut su = SchedulingUnit::new(capacity_blocks, block_size);
         let next_block_id = r.take_u64()?;
         let n_blocks = r.take_usize()?;
@@ -1498,7 +1488,7 @@ impl SchedulingUnit {
                     "block of {n_entries} entries (block size {block_size})"
                 )));
             }
-            if id < su.next_block_id || id >= next_block_id || tid > u8::MAX as usize {
+            if id < su.next_block_id || id >= next_block_id {
                 return Err(malformed(format!("non-monotone block id {id}")));
             }
             let text = *decoded.get(tid).ok_or_else(|| {
@@ -1618,7 +1608,7 @@ impl SchedulingUnit {
                     su.mask_ready[row] |= 1 << ei;
                 }
                 if let Some(reg) = su.insn[h].dest {
-                    su.producer_list(tid, reg.index()).push_back(h as u16);
+                    su.index_producer(tid, reg, h);
                 }
             }
             su.entries_count += n_entries;

@@ -179,12 +179,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Set {
-    /// Tags ordered most-recently-used first; length ≤ ways.
-    lru: Vec<u64>,
-}
-
 /// An in-flight line refill.
 #[derive(Clone, Copy, Debug)]
 struct Refill {
@@ -197,7 +191,11 @@ struct Refill {
 #[derive(Clone, Debug)]
 pub struct DataCache {
     config: CacheConfig,
-    sets: Vec<Set>,
+    /// One slab of `sets × ways` tags: set `s` owns `lines[s * ways..]`,
+    /// of which the first `fill[s]` are valid, most-recently-used first.
+    lines: Vec<u64>,
+    /// Valid lines per set.
+    fill: Vec<usize>,
     set_shift: u32,
     set_mask: u64,
     /// In-flight refills, at most `config.mshrs` of them.
@@ -218,14 +216,8 @@ impl DataCache {
         assert!(config.mshrs > 0, "cache needs at least one refill slot");
         DataCache {
             config,
-            // Not `vec![template; sets]`: cloning a Vec copies only its
-            // elements, so the clones would start at capacity zero and each
-            // set would heap-allocate on its first fill mid-simulation.
-            sets: (0..sets)
-                .map(|_| Set {
-                    lru: Vec::with_capacity(config.ways),
-                })
-                .collect(),
+            lines: vec![0; sets * config.ways],
+            fill: vec![0; sets],
             set_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
             refills: Vec::with_capacity(config.mshrs),
@@ -253,20 +245,34 @@ impl DataCache {
         )
     }
 
+    /// The valid lines of `set`, most-recently-used first.
+    fn set_lines(&self, set: usize) -> &[u64] {
+        let base = set * self.config.ways;
+        &self.lines[base..base + self.fill[set]]
+    }
+
     /// Lands completed refills, installing their lines as MRU.
     fn settle(&mut self, now: u64) {
         let mut i = 0;
         while i < self.refills.len() {
             let Refill { set, tag, done } = self.refills[i];
             if now >= done {
-                let s = &mut self.sets[set];
+                let ways = self.config.ways;
+                let lines = &mut self.lines[set * ways..(set + 1) * ways];
                 // The line may already be present if it was re-fetched after
                 // an eviction race; dedupe defensively.
-                s.lru.retain(|&t| t != tag);
-                if s.lru.len() == self.config.ways {
-                    s.lru.pop();
+                let mut kept = 0;
+                for j in 0..self.fill[set] {
+                    if lines[j] != tag {
+                        lines[kept] = lines[j];
+                        kept += 1;
+                    }
                 }
-                s.lru.insert(0, tag);
+                // Insert at the MRU end, dropping the LRU line of a full set.
+                let len = (kept + 1).min(ways);
+                lines[..len].rotate_right(1);
+                lines[0] = tag;
+                self.fill[set] = len;
                 self.refills.swap_remove(i);
             } else {
                 i += 1;
@@ -282,10 +288,10 @@ impl DataCache {
     pub fn access(&mut self, addr: u64, now: u64) -> Outcome {
         self.settle(now);
         let (set, tag) = self.split(addr);
-        // Hit on a resident line?
-        if let Some(pos) = self.sets[set].lru.iter().position(|&t| t == tag) {
-            let t = self.sets[set].lru.remove(pos);
-            self.sets[set].lru.insert(0, t);
+        // Hit on a resident line? It moves to the MRU end.
+        if let Some(pos) = self.set_lines(set).iter().position(|&t| t == tag) {
+            let base = set * self.config.ways;
+            self.lines[base..=base + pos].rotate_right(1);
             self.stats.accesses += 1;
             self.stats.hits += 1;
             return Outcome::Hit;
@@ -334,10 +340,11 @@ impl DataCache {
     /// statistics. Geometry is not serialized; it comes from the config at
     /// restore time.
     pub fn save(&self, w: &mut smt_checkpoint::Writer) {
-        w.put_usize(self.sets.len());
-        for s in &self.sets {
-            w.put_usize(s.lru.len());
-            for &tag in &s.lru {
+        w.put_usize(self.fill.len());
+        for set in 0..self.fill.len() {
+            let lines = self.set_lines(set);
+            w.put_usize(lines.len());
+            for &tag in lines {
                 w.put_u64(tag);
             }
         }
@@ -353,41 +360,52 @@ impl DataCache {
         w.put_u64(self.stats.blocked);
     }
 
-    /// Rebuilds a cache for `config` from [`save`](Self::save)d state.
+    /// Rebuilds a cache for `config` from [`save`](Self::save)d state,
+    /// refusing any set count, line count or refill set index the
+    /// geometry does not have.
     pub fn restore(
         config: CacheConfig,
         r: &mut smt_checkpoint::Reader<'_>,
     ) -> Result<Self, smt_checkpoint::DecodeError> {
+        let malformed = smt_checkpoint::DecodeError::Malformed;
         let mut cache = DataCache::new(config);
+        let sets = cache.fill.len();
         let n_sets = r.take_usize()?;
-        if n_sets != cache.sets.len() {
-            return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                "cache: {n_sets} serialized sets, geometry has {}",
-                cache.sets.len()
+        if n_sets != sets {
+            return Err(malformed(format!(
+                "cache: {n_sets} serialized sets, geometry has {sets}"
             )));
         }
-        for s in &mut cache.sets {
+        for set in 0..sets {
             let ways = r.take_usize()?;
             if ways > config.ways {
-                return Err(smt_checkpoint::DecodeError::Malformed(format!(
+                return Err(malformed(format!(
                     "cache: set holds {ways} lines, geometry allows {}",
                     config.ways
                 )));
             }
-            for _ in 0..ways {
-                s.lru.push(r.take_u64()?);
+            let base = set * config.ways;
+            for line in &mut cache.lines[base..base + ways] {
+                *line = r.take_u64()?;
             }
+            cache.fill[set] = ways;
         }
         let n_refills = r.take_usize()?;
         if n_refills > config.mshrs {
-            return Err(smt_checkpoint::DecodeError::Malformed(format!(
+            return Err(malformed(format!(
                 "cache: {n_refills} in-flight refills, {} MSHRs",
                 config.mshrs
             )));
         }
         for _ in 0..n_refills {
+            let set = r.take_usize()?;
+            if set >= sets {
+                return Err(malformed(format!(
+                    "cache: refill into set {set}, geometry has {sets}"
+                )));
+            }
             cache.refills.push(Refill {
-                set: r.take_usize()?,
+                set,
                 tag: r.take_u64()?,
                 done: r.take_u64()?,
             });
@@ -401,9 +419,7 @@ impl DataCache {
 
     /// Invalidates all lines and cancels any refill. Statistics survive.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.lru.clear();
-        }
+        self.fill.fill(0);
         self.refills.clear();
     }
 }
@@ -561,6 +577,33 @@ mod tests {
         c.flush();
         assert!(matches!(c.access(0, 100), Outcome::Miss { .. }));
         assert_eq!(c.stats().misses, 2);
+    }
+
+    /// A well-checksummed snapshot can name any set index for an in-flight
+    /// refill; one outside the geometry is refused at restore instead of
+    /// panicking in `settle` on the next access.
+    #[test]
+    fn restore_rejects_a_refill_outside_the_geometry() {
+        let mut w = smt_checkpoint::Writer::new();
+        w.put_usize(4); // sets, matching the 4-set geometry
+        for _ in 0..4 {
+            w.put_usize(0); // every set empty
+        }
+        w.put_usize(1); // one in-flight refill…
+        w.put_usize(9999); // …into a set the cache does not have
+        w.put_u64(7); // tag
+        w.put_u64(5); // lands at cycle 5
+        for _ in 0..4 {
+            w.put_u64(0); // stats
+        }
+        let bytes = w.into_bytes();
+        let config = *small(2).config();
+        let err = DataCache::restore(config, &mut smt_checkpoint::Reader::new(&bytes))
+            .expect_err("set 9999 of a 4-set cache");
+        assert!(
+            matches!(err, smt_checkpoint::DecodeError::Malformed(ref m) if m.contains("9999")),
+            "{err:?}"
+        );
     }
 
     #[test]

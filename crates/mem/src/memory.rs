@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use smt_isa::program::DataImage;
 use smt_isa::WORD_BYTES;
 
 /// Error raised by a memory access.
@@ -56,14 +55,6 @@ impl MainMemory {
     pub fn new(bytes: u64) -> Self {
         MainMemory {
             words: vec![0; bytes.div_ceil(WORD_BYTES) as usize],
-        }
-    }
-
-    /// Initializes memory from a program's data image.
-    #[must_use]
-    pub fn from_image(image: &DataImage) -> Self {
-        MainMemory {
-            words: image.to_words(),
         }
     }
 
@@ -161,9 +152,10 @@ impl MainMemory {
         }
     }
 
-    /// Rebuilds memory from `baseline` plus a [`save_delta`](Self::save_delta).
+    /// Rebuilds memory from `baseline` plus a [`save_delta`](Self::save_delta),
+    /// applying the delta in place to the baseline's own words.
     pub fn restore_delta(
-        baseline: &[u64],
+        baseline: Vec<u64>,
         r: &mut smt_checkpoint::Reader<'_>,
     ) -> Result<Self, smt_checkpoint::DecodeError> {
         let len = r.take_usize()?;
@@ -173,7 +165,7 @@ impl MainMemory {
                 baseline.len()
             )));
         }
-        let mut words = baseline.to_vec();
+        let mut words = baseline;
         let changed = r.take_usize()?;
         for _ in 0..changed {
             let i = r.take_usize()?;
@@ -224,17 +216,5 @@ mod tests {
         assert_eq!(m.fetch_add(0).unwrap(), 1);
         assert_eq!(m.fetch_add(0).unwrap(), 2);
         assert_eq!(m.read(0).unwrap(), 2);
-    }
-
-    #[test]
-    fn from_image_places_words() {
-        let img = DataImage {
-            size: 32,
-            words: vec![(16, 5)],
-        };
-        let m = MainMemory::from_image(&img);
-        assert_eq!(m.read(16).unwrap(), 5);
-        assert_eq!(m.read(24).unwrap(), 0);
-        assert_eq!(m.size(), 32);
     }
 }

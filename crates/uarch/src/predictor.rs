@@ -185,17 +185,14 @@ impl BranchPredictor {
         w.put_u64(self.stats.updates);
     }
 
-    /// Rebuilds a predictor from [`save`](Self::save)d state.
+    /// Rebuilds a predictor of `entries` slots from [`save`](Self::save)d
+    /// state, refusing a snapshot of any other size before allocating.
     pub fn restore(
+        entries: usize,
         r: &mut smt_checkpoint::Reader<'_>,
     ) -> Result<Self, smt_checkpoint::DecodeError> {
-        let len = r.take_usize()?;
-        if !len.is_power_of_two() || len == 0 {
-            return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                "BTB size {len} is not a power of two"
-            )));
-        }
-        let mut p = BranchPredictor::new(len);
+        expect_len(r, "BTB slots", entries)?;
+        let mut p = BranchPredictor::new(entries);
         for slot in &mut p.entries {
             *slot = match r.take_u8()? {
                 0 => None,
@@ -228,6 +225,22 @@ impl BranchPredictor {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Decodes a length word and requires it to equal `want`, the value the
+/// configuration implies — so a snapshot can never size a table itself.
+fn expect_len(
+    r: &mut smt_checkpoint::Reader<'_>,
+    what: &str,
+    want: usize,
+) -> Result<(), smt_checkpoint::DecodeError> {
+    let len = r.take_usize()?;
+    if len != want {
+        return Err(smt_checkpoint::DecodeError::Malformed(format!(
+            "predictor snapshot holds {len} {what}, configuration has {want}"
+        )));
+    }
+    Ok(())
 }
 
 /// Decodes one 2-bit saturating counter, rejecting values that escape the
@@ -401,17 +414,16 @@ impl GsharePredictor {
         w.put_u64(self.stats.updates);
     }
 
-    /// Rebuilds a predictor from [`save`](Self::save)d state.
+    /// Rebuilds a predictor of `entries` slots and `n_threads` history
+    /// registers from [`save`](Self::save)d state, refusing a snapshot of
+    /// any other shape before allocating.
     pub fn restore(
+        entries: usize,
+        n_threads: usize,
         r: &mut smt_checkpoint::Reader<'_>,
     ) -> Result<Self, smt_checkpoint::DecodeError> {
-        let len = r.take_usize()?;
-        if !len.is_power_of_two() || len == 0 {
-            return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                "PHT size {len} is not a power of two"
-            )));
-        }
-        let mut p = GsharePredictor::new(len, 1);
+        expect_len(r, "PHT slots", entries)?;
+        let mut p = GsharePredictor::new(entries, n_threads);
         for c in &mut p.pht {
             *c = take_counter(r)?;
         }
@@ -426,21 +438,15 @@ impl GsharePredictor {
                 }
             };
         }
-        let threads = r.take_usize()?;
-        if threads == 0 {
-            return Err(smt_checkpoint::DecodeError::Malformed(
-                "gshare snapshot with zero history registers".into(),
-            ));
-        }
-        p.history = Vec::with_capacity(threads);
-        for _ in 0..threads {
+        expect_len(r, "history registers", n_threads)?;
+        for slot in &mut p.history {
             let h = r.take_u64()?;
             if h > p.hist_mask {
                 return Err(smt_checkpoint::DecodeError::Malformed(format!(
                     "history register {h:#x} wider than the PHT index"
                 )));
             }
-            p.history.push(h);
+            *slot = h;
         }
         p.stats.lookups = r.take_u64()?;
         p.stats.btb_hits = r.take_u64()?;
@@ -458,12 +464,6 @@ impl GsharePredictor {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.pht.is_empty()
-    }
-
-    /// Number of per-thread history registers.
-    #[must_use]
-    pub fn n_threads(&self) -> usize {
-        self.history.len()
     }
 }
 
@@ -536,19 +536,19 @@ impl PartitionedPredictor {
         }
     }
 
-    /// Rebuilds the partitions from [`save`](Self::save)d state.
+    /// Rebuilds `n_threads` partitions of a budget of `entries` from
+    /// [`save`](Self::save)d state, refusing a snapshot of any other shape
+    /// before allocating.
     pub fn restore(
+        entries: usize,
+        n_threads: usize,
         r: &mut smt_checkpoint::Reader<'_>,
     ) -> Result<Self, smt_checkpoint::DecodeError> {
-        let n = r.take_usize()?;
-        if n == 0 {
-            return Err(smt_checkpoint::DecodeError::Malformed(
-                "partitioned predictor with zero partitions".into(),
-            ));
-        }
-        let mut tables = Vec::with_capacity(n);
-        for _ in 0..n {
-            tables.push(BranchPredictor::restore(r)?);
+        expect_len(r, "partitions", n_threads)?;
+        let per = Self::partition_size(entries, n_threads);
+        let mut tables = Vec::with_capacity(n_threads);
+        for _ in 0..n_threads {
+            tables.push(BranchPredictor::restore(per, r)?);
         }
         Ok(PartitionedPredictor { tables })
     }
@@ -652,10 +652,13 @@ impl Predictor {
     }
 
     /// Rebuilds from [`save`](Self::save)d state, validating that the
-    /// snapshot's family matches `kind` and that thread-indexed state
-    /// matches `n_threads`.
+    /// snapshot's family matches `kind` and that every table has the shape
+    /// [`build`](Self::build) gives a budget of `entries` slots across
+    /// `n_threads` threads — checked before anything is allocated, so a
+    /// length word in the snapshot never sizes a table.
     pub fn restore(
         kind: PredictorKind,
+        entries: usize,
         n_threads: usize,
         r: &mut smt_checkpoint::Reader<'_>,
     ) -> Result<Self, smt_checkpoint::DecodeError> {
@@ -670,24 +673,15 @@ impl Predictor {
                 "predictor family tag {tag} does not match configured {kind}"
             )));
         }
-        let p = match kind {
-            PredictorKind::SharedBtb => Predictor::Shared(BranchPredictor::restore(r)?),
-            PredictorKind::Gshare => Predictor::Gshare(GsharePredictor::restore(r)?),
-            PredictorKind::PartitionedBtb => {
-                Predictor::Partitioned(PartitionedPredictor::restore(r)?)
+        Ok(match kind {
+            PredictorKind::SharedBtb => Predictor::Shared(BranchPredictor::restore(entries, r)?),
+            PredictorKind::Gshare => {
+                Predictor::Gshare(GsharePredictor::restore(entries, n_threads, r)?)
             }
-        };
-        let snapshot_threads = match &p {
-            Predictor::Shared(_) => n_threads,
-            Predictor::Gshare(g) => g.n_threads(),
-            Predictor::Partitioned(t) => t.n_threads(),
-        };
-        if snapshot_threads != n_threads {
-            return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                "predictor snapshot sized for {snapshot_threads} threads, machine has {n_threads}"
-            )));
-        }
-        Ok(p)
+            PredictorKind::PartitionedBtb => {
+                Predictor::Partitioned(PartitionedPredictor::restore(entries, n_threads, r)?)
+            }
+        })
     }
 }
 
@@ -874,7 +868,7 @@ mod tests {
         good.save(&mut w);
         let mut bytes = w.into_bytes();
         // Round-trips cleanly before corruption.
-        assert!(BranchPredictor::restore(&mut smt_checkpoint::Reader::new(&bytes)).is_ok());
+        assert!(BranchPredictor::restore(4, &mut smt_checkpoint::Reader::new(&bytes)).is_ok());
         // Forge the counter byte: the stream holds `counter: u8 = 2` for
         // the single occupied slot; corrupt every byte equal to 2 that
         // follows an occupancy marker by scanning for the known layout is
@@ -892,7 +886,8 @@ mod tests {
         w.put_u64(0);
         w.put_u64(1);
         bytes = w.into_bytes();
-        let err = BranchPredictor::restore(&mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
+        let err =
+            BranchPredictor::restore(4, &mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
         assert!(
             matches!(err, smt_checkpoint::DecodeError::Malformed(ref m) if m.contains("counter")),
             "expected a counter rejection, got {err:?}"
@@ -1076,7 +1071,7 @@ mod tests {
                 p.save(&mut w);
                 let bytes = w.into_bytes();
                 let mut r = smt_checkpoint::Reader::new(&bytes);
-                let restored = Predictor::restore(kind, threads, &mut r).unwrap();
+                let restored = Predictor::restore(kind, 64, threads, &mut r).unwrap();
                 assert_eq!(restored.kind(), kind);
                 assert_eq!(restored.stats(), p.stats());
                 let mut w2 = smt_checkpoint::Writer::new();
@@ -1097,6 +1092,7 @@ mod tests {
         let bytes = w.into_bytes();
         let err = Predictor::restore(
             PredictorKind::Gshare,
+            16,
             2,
             &mut smt_checkpoint::Reader::new(&bytes),
         )
@@ -1113,8 +1109,8 @@ mod tests {
             let mut w = smt_checkpoint::Writer::new();
             p.save(&mut w);
             let bytes = w.into_bytes();
-            let err =
-                Predictor::restore(kind, 2, &mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
+            let err = Predictor::restore(kind, 64, 2, &mut smt_checkpoint::Reader::new(&bytes))
+                .unwrap_err();
             assert!(
                 matches!(err, smt_checkpoint::DecodeError::Malformed(_)),
                 "{kind} accepted a wrong-thread-count snapshot"
@@ -1135,7 +1131,7 @@ mod tests {
         let mut bad = clean.clone();
         let pht_start = clean.len() - (4 + 4 + 8 + 8 + 24); // counters+slots+len+hist+stats
         bad[pht_start] = 9;
-        assert!(GsharePredictor::restore(&mut smt_checkpoint::Reader::new(&bad)).is_err());
+        assert!(GsharePredictor::restore(4, 1, &mut smt_checkpoint::Reader::new(&bad)).is_err());
 
         // An overwide history register (mask for 4 entries is 0b11).
         let mut w = smt_checkpoint::Writer::new();
@@ -1152,7 +1148,64 @@ mod tests {
         w.put_u64(0);
         w.put_u64(0);
         let bytes = w.into_bytes();
-        let err = GsharePredictor::restore(&mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
+        let err =
+            GsharePredictor::restore(4, 1, &mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, smt_checkpoint::DecodeError::Malformed(_)));
+    }
+
+    /// A length word in a snapshot never sizes a table: hand-built streams
+    /// whose BTB, PHT, history or partition counts disagree with the
+    /// configuration — including counts that would ask the allocator for
+    /// terabytes — are refused with a typed error before any allocation.
+    #[test]
+    fn restore_bounds_every_length_by_the_configuration() {
+        let stream = |words: &[usize]| {
+            let mut w = smt_checkpoint::Writer::new();
+            for &v in words {
+                w.put_usize(v);
+            }
+            w.into_bytes()
+        };
+        let huge = 1usize << 40;
+        let cases: [(PredictorKind, Vec<u8>); 5] = [
+            // Family tag, then a power-of-two BTB size the config does not have.
+            (
+                PredictorKind::SharedBtb,
+                [vec![0], stream(&[huge])].concat(),
+            ),
+            (
+                PredictorKind::SharedBtb,
+                [vec![0], stream(&[1024])].concat(),
+            ),
+            (PredictorKind::Gshare, [vec![1], stream(&[huge])].concat()),
+            // A correct 16-slot gshare whose history count is unbounded.
+            (
+                PredictorKind::Gshare,
+                [vec![1], stream(&[16]), vec![0; 32], stream(&[huge])].concat(),
+            ),
+            (
+                PredictorKind::PartitionedBtb,
+                [vec![2], stream(&[huge])].concat(),
+            ),
+        ];
+        for (kind, bytes) in cases {
+            let err = Predictor::restore(kind, 16, 2, &mut smt_checkpoint::Reader::new(&bytes))
+                .unwrap_err();
+            assert!(
+                matches!(err, smt_checkpoint::DecodeError::Malformed(ref m) if m.contains("configuration")),
+                "{kind}: expected a length rejection, got {err:?}"
+            );
+        }
+        // Right partition count, wrong partition size (a 16-slot budget
+        // across 2 threads gives 8-slot partitions).
+        let bytes = [vec![2], stream(&[2, 16])].concat();
+        let err = Predictor::restore(
+            PredictorKind::PartitionedBtb,
+            16,
+            2,
+            &mut smt_checkpoint::Reader::new(&bytes),
+        )
+        .unwrap_err();
         assert!(matches!(err, smt_checkpoint::DecodeError::Malformed(_)));
     }
 }

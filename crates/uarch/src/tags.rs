@@ -138,8 +138,11 @@ impl TagAllocator {
     ///
     /// `resident` must be the raw tags of every entry still live in the
     /// restored machine (scheduling-unit entries; store-buffer ids are
-    /// already-freed tags and must not be included). Its length must
-    /// equal the serialized live count.
+    /// already-freed tags and must not be included), oldest first. Its
+    /// length must equal the serialized live count, and since decode
+    /// allocates tags in window order, they must ascend strictly and stay
+    /// below the next identifier — otherwise a later allocation would
+    /// reissue a live tag.
     pub fn restore(
         capacity: usize,
         r: &mut smt_checkpoint::Reader<'_>,
@@ -151,6 +154,12 @@ impl TagAllocator {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
                 "tag allocator: {live} live of {capacity} capacity, {} resident",
                 resident.len()
+            )));
+        }
+        if resident.windows(2).any(|w| w[0] >= w[1]) || resident.last().is_some_and(|&t| t >= next)
+        {
+            return Err(smt_checkpoint::DecodeError::Malformed(format!(
+                "tag allocator: resident tags do not ascend below the next tag {next}"
             )));
         }
         #[cfg(not(debug_assertions))]

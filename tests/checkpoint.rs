@@ -273,6 +273,140 @@ fn every_cycle_splices_preserve_per_thread_fetch_state() {
     }
 }
 
+const BYTES_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/goldens/checkpoint_bytes.txt"
+);
+
+/// The v5 wire bytes themselves, pinned by digest. The splice tests above
+/// only prove that encode and decode agree with each other, so a change
+/// made symmetrically to both would pass them while invalidating every
+/// stored `.ckpt` and `.warm` file under an unchanged format version.
+/// Each point is a test-scale machine stopped with blocks in flight,
+/// covering homogeneous and mix machines, every predictor family and
+/// every fetch policy, plus one warm (fork-only) snapshot.
+#[test]
+fn v5_snapshot_bytes_are_pinned() {
+    use smt_superscalar::core::config::warm;
+    use smt_superscalar::core::Snapshot;
+
+    let build = |kind: WorkloadKind, threads: usize| {
+        workload(kind, Scale::Test)
+            .build(threads)
+            .expect("test-scale kernel fits")
+    };
+    let mut golden = String::new();
+    let mut pin = |name: &str, snap: &Snapshot| {
+        let bytes = snap.to_bytes();
+        let digest = smt_checkpoint::stable_hash(&bytes);
+        writeln!(golden, "{name} {} bytes {digest:#018x}", bytes.len())
+            .expect("writing to a String cannot fail");
+    };
+
+    let homogeneous: [(WorkloadKind, usize, PredictorKind, FetchPolicy, u64); 4] = [
+        (
+            WorkloadKind::Matrix,
+            4,
+            PredictorKind::SharedBtb,
+            FetchPolicy::TrueRoundRobin,
+            300,
+        ),
+        (
+            WorkloadKind::Ll7,
+            2,
+            PredictorKind::Gshare,
+            FetchPolicy::Icount,
+            257,
+        ),
+        (
+            WorkloadKind::Sieve,
+            8,
+            PredictorKind::PartitionedBtb,
+            FetchPolicy::MaskedRoundRobin,
+            411,
+        ),
+        (
+            WorkloadKind::Laplace,
+            1,
+            PredictorKind::Gshare,
+            FetchPolicy::ConditionalSwitch,
+            150,
+        ),
+    ];
+    for (kind, threads, predictor, policy, cycles) in homogeneous {
+        let program = build(kind, threads);
+        let config = SimConfig::default()
+            .with_threads(threads)
+            .with_predictor(predictor)
+            .with_fetch_policy(policy);
+        let mut sim = Simulator::new(config.clone(), &program);
+        for _ in 0..cycles {
+            sim.step().expect("prefix steps complete");
+        }
+        assert!(!sim.is_quiescent(), "{kind:?}: blocks must be in flight");
+        let snap = sim.checkpoint();
+        let back = Simulator::restore(config, &program, &snap).expect("snapshot restores");
+        assert_eq!(back.checkpoint(), snap, "{kind:?}: restore must re-encode");
+        pin(
+            &format!(
+                "{kind:?}/{}/{policy:?}/{threads}t@{cycles}",
+                predictor.abbrev()
+            ),
+            &snap,
+        );
+    }
+
+    let mixes: [(&[WorkloadKind], PredictorKind, u64); 2] = [
+        (
+            &[WorkloadKind::Matrix, WorkloadKind::Sieve],
+            PredictorKind::SharedBtb,
+            199,
+        ),
+        (
+            &[
+                WorkloadKind::Ll1,
+                WorkloadKind::Ll7,
+                WorkloadKind::Matrix,
+                WorkloadKind::Laplace,
+            ],
+            PredictorKind::PartitionedBtb,
+            333,
+        ),
+    ];
+    for (kinds, predictor, cycles) in mixes {
+        let programs: Vec<_> = kinds.iter().map(|&k| build(k, kinds.len())).collect();
+        let refs: Vec<_> = programs.iter().collect();
+        let config = SimConfig::default()
+            .with_threads(kinds.len())
+            .with_predictor(predictor);
+        let mut sim = Simulator::try_new_mix(config.clone(), &refs).expect("mix fits");
+        for _ in 0..cycles {
+            sim.step().expect("prefix steps complete");
+        }
+        assert!(!sim.is_quiescent(), "{kinds:?}: blocks must be in flight");
+        let snap = sim.checkpoint();
+        let back = Simulator::restore_mix(config, &refs, &snap).expect("snapshot restores");
+        assert_eq!(back.checkpoint(), snap, "{kinds:?}: restore must re-encode");
+        pin(
+            &format!("mix{kinds:?}/{}@{cycles}", predictor.abbrev()),
+            &snap,
+        );
+    }
+
+    let program = build(WorkloadKind::Matrix, 4);
+    let mut sim = Simulator::new(SimConfig::default(), &program);
+    for _ in 0..300 {
+        sim.step().expect("prefix steps complete");
+    }
+    sim.drain().expect("drain parks the machine");
+    let warm = sim
+        .checkpoint_warm(&warm::relax_all())
+        .expect("quiescent machine");
+    pin(&format!("warm/Matrix/4t@{}", sim.cycle()), &warm);
+
+    support::check_golden(BYTES_GOLDEN_PATH, &golden);
+}
+
 #[test]
 fn oversubscribed_thread_count_is_a_typed_error_not_a_panic() {
     // A kernel that fits a 4-thread partition but not an 8-thread one: the

@@ -1,0 +1,230 @@
+//! Snapshot decoding is bounded by the configuration, never by the bytes.
+//!
+//! Two properties, under a global allocator that counts allocation events
+//! and refuses any single request above 64 MiB (the process then aborts
+//! with "memory allocation failed", which fails this binary):
+//!
+//! * one `Simulator::restore` makes a small, thread-count-independent
+//!   number of allocation events — it builds each component once;
+//! * well-checksummed garbage never panics: payload bytes are overwritten
+//!   and the FNV-1a checksum re-sealed, so every mutation reaches the
+//!   component decoders, and `Snapshot::from_bytes` + `Simulator::restore`
+//!   must return a typed error or a machine that steps 300 cycles without
+//!   panicking.
+//!
+//! This lives in its own integration-test binary because
+//! `#[global_allocator]` is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use smt_superscalar::core::{FetchPolicy, PredictorKind, SimConfig, Simulator, Snapshot};
+use smt_superscalar::isa::Program;
+use smt_testkit::progen::{GenConfig, MixPlan, Plan};
+use smt_testkit::Rng;
+
+/// The largest single allocation any test here may request. Paper-scale
+/// machines need well under a megabyte per component; a request this
+/// large can only come from a length word the decoder failed to bound.
+const MAX_REQUEST: usize = 64 << 20;
+
+/// Counts allocation events (alloc + realloc) and refuses oversized
+/// requests; frees are not interesting.
+struct GuardedAlloc;
+
+thread_local! {
+    /// Per-thread count: the harness runs tests on parallel threads, and
+    /// one test's work must not count against another's window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for GuardedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        if layout.size() > MAX_REQUEST {
+            return std::ptr::null_mut();
+        }
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        if new_size > MAX_REQUEST {
+            return std::ptr::null_mut();
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: GuardedAlloc = GuardedAlloc;
+
+/// Allocation events one `Simulator::restore` may make, at any thread
+/// count and under every predictor family.
+const RESTORE_ALLOC_BOUND: u64 = 100;
+
+/// A generated fuzz program for `threads` threads.
+fn generated(seed: u64, threads: usize) -> Program {
+    Plan::generate(seed, &GenConfig::default())
+        .build_full(threads)
+        .expect("generated plans fit every thread count")
+}
+
+/// Steps a fresh machine `cycles` cycles (or until it finishes) and
+/// returns its snapshot's wire bytes.
+fn snapshot_bytes(mut sim: Simulator<'_>, cycles: u64) -> Vec<u8> {
+    for _ in 0..cycles {
+        if sim.finished() || sim.step().is_err() {
+            break;
+        }
+    }
+    sim.checkpoint().to_bytes()
+}
+
+#[test]
+fn restore_makes_a_bounded_number_of_allocations() {
+    let mut worst = 0;
+    for threads in [1, 2, 4, 8] {
+        let program = generated(0xa110c, threads);
+        for predictor in PredictorKind::ALL {
+            let config = SimConfig::default()
+                .with_threads(threads)
+                .with_predictor(predictor);
+            let mut sim = Simulator::new(config.clone(), &program);
+            while sim.cycle() < 100 || sim.is_quiescent() {
+                assert!(!sim.finished(), "blocks must be in flight");
+                sim.step().expect("prefix steps complete");
+            }
+            let snap = Snapshot::from_bytes(&sim.checkpoint().to_bytes()).expect("round trip");
+            let before = ALLOCS.with(Cell::get);
+            let back = Simulator::restore(config, &program, &snap).expect("snapshot restores");
+            let n = ALLOCS.with(Cell::get) - before;
+            drop(back);
+            println!("{threads} threads, {predictor}: {n} allocation events per restore");
+            worst = worst.max(n);
+        }
+    }
+    assert!(
+        worst <= RESTORE_ALLOC_BOUND,
+        "a restore made {worst} allocation events (bound {RESTORE_ALLOC_BOUND})"
+    );
+}
+
+/// Overwrites one to four payload bytes of `wire` and re-seals the
+/// checksum, so the mutation passes the integrity check and reaches the
+/// component decoders. `payload_len` is the decoded payload's length.
+fn mutate(wire: &[u8], payload_len: usize, rng: &mut Rng) -> Vec<u8> {
+    let mut bytes = wire.to_vec();
+    let end = bytes.len() - 8;
+    let start = end - payload_len;
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.range_usize(start, end);
+        bytes[at] = match rng.below(4) {
+            0 => 0,
+            1 => 0xff,
+            2 => bytes[at] ^ (1 << rng.below(8)),
+            _ => rng.next_u64() as u8,
+        };
+    }
+    let sum = smt_checkpoint::fnv1a(&bytes[..end]);
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Decodes and restores one mutated snapshot; a machine that restores is
+/// stepped 300 cycles. Returns whether the decoders rejected it.
+fn exercise<'p>(bytes: &[u8], restore: impl FnOnce(&Snapshot) -> Option<Simulator<'p>>) -> bool {
+    let Ok(snap) = Snapshot::from_bytes(bytes) else {
+        return true;
+    };
+    let Some(mut sim) = restore(&snap) else {
+        return true;
+    };
+    for _ in 0..300 {
+        if sim.finished() || sim.step().is_err() {
+            break;
+        }
+    }
+    false
+}
+
+#[test]
+fn mutated_snapshots_fail_closed_or_run() {
+    const MACHINES: u64 = 48;
+    const MUTATIONS: u64 = 100;
+    let policies = FetchPolicy::ALL;
+    let (mut rejected, mut accepted) = (0u64, 0u64);
+    let mut rng = Rng::new(0x5eed_f022);
+    for case in 0..MACHINES {
+        let predictor = PredictorKind::ALL[case as usize % PredictorKind::ALL.len()];
+        let policy = policies[case as usize / 3 % policies.len()];
+        let seed = 0xf022_0000 + case;
+        let cycles = 1 + rng.below(200);
+        let mix = case % 4 == 3;
+        let threads = if mix {
+            [2, 4][rng.range_usize(0, 2)]
+        } else {
+            [1, 2, 4, 8][rng.range_usize(0, 4)]
+        };
+        let config = SimConfig::default()
+            .with_threads(threads)
+            .with_predictor(predictor)
+            .with_fetch_policy(policy);
+        let programs: Vec<Program> = if mix {
+            MixPlan::generate(seed, threads, &GenConfig::default())
+                .build_full()
+                .expect("generated mixes fit")
+        } else {
+            vec![generated(seed, threads)]
+        };
+        let refs: Vec<&Program> = programs.iter().collect();
+        let wire = if mix {
+            snapshot_bytes(
+                Simulator::try_new_mix(config.clone(), &refs).unwrap(),
+                cycles,
+            )
+        } else {
+            snapshot_bytes(Simulator::new(config.clone(), refs[0]), cycles)
+        };
+        let payload_len = Snapshot::from_bytes(&wire)
+            .expect("round trip")
+            .payload
+            .len();
+        for m in 0..MUTATIONS {
+            let bytes = mutate(&wire, payload_len, &mut rng);
+            let point = format!(
+                "seed {seed:#x}, {threads} threads{}, {predictor}, {policy:?}, \
+                 cycle {cycles}, mutation {m}",
+                if mix { " (mix)" } else { "" }
+            );
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                exercise(&bytes, |snap| {
+                    if mix {
+                        Simulator::restore_mix(config.clone(), &refs, snap).ok()
+                    } else {
+                        Simulator::restore(config.clone(), refs[0], snap).ok()
+                    }
+                })
+            }));
+            match outcome {
+                Ok(true) => rejected += 1,
+                Ok(false) => accepted += 1,
+                Err(_) => panic!("{point}: a well-checksummed mutation panicked"),
+            }
+        }
+    }
+    println!("{rejected} mutations rejected with typed errors, {accepted} restored and ran");
+    assert!(
+        rejected > 0 && accepted > 0,
+        "the sweep must exercise both outcomes"
+    );
+}
