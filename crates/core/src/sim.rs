@@ -163,22 +163,26 @@ impl<'p> Simulator<'p> {
         Self::build(config, vec![program])
     }
 
-    /// Fallible constructor for a heterogeneous **program mix**: one
-    /// program per hardware thread. Each thread fetches and decodes its
-    /// own text, owns a private segment of the flat data memory (its
-    /// program's image, bounds-checked against its own size so faults
-    /// carry thread-local addresses), and sees itself as thread 0 of a
-    /// 1-thread machine — architecturally, `threads` independent
-    /// single-threaded programs sharing one pipeline, cache, and store
-    /// buffer.
+    /// Fallible constructor over a program list, which holds either
     ///
-    /// A single-thread mix is canonicalized to the homogeneous form (the
-    /// two are architecturally identical), so its snapshots interchange
-    /// with [`try_new`](Self::try_new)'s.
+    /// * **one program**, which every thread runs over one shared memory
+    ///   — the homogeneous machine of [`try_new`](Self::try_new), at any
+    ///   thread count; or
+    /// * a **program mix** of exactly `config.threads` programs: thread
+    ///   `t` fetches and decodes `programs[t]`'s text, owns a private
+    ///   segment of the flat data memory (its program's image,
+    ///   bounds-checked against its own size so faults carry
+    ///   thread-local addresses), and sees itself as thread 0 of a
+    ///   1-thread machine — architecturally, `threads` independent
+    ///   single-threaded programs sharing one pipeline, cache, and store
+    ///   buffer. `[&a, &a]` is a two-program mix, not the homogeneous
+    ///   machine of `a`.
+    ///
+    /// At one thread the two readings coincide.
     ///
     /// # Errors
     ///
-    /// * [`SimError::Program`] if `programs` does not hold exactly
+    /// * [`SimError::Program`] if `programs` holds neither one entry nor
     ///   `config.threads` entries,
     /// * everything [`try_new`](Self::try_new) reports.
     pub fn try_new_mix(config: SimConfig, programs: &[&'p Program]) -> Result<Self, SimError> {
@@ -1472,12 +1476,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Data-cache counters so far (convenience for tests).
-    #[must_use]
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.cache.stats()
-    }
-
     // ---- checkpoint / restore -------------------------------------------------
 
     /// Captures the complete machine state as a versioned [`Snapshot`].
@@ -1659,26 +1657,26 @@ impl<'p> Simulator<'p> {
     ///   non-relaxed field, was taken of a different program, or its
     ///   payload fails to decode;
     /// * whatever [`try_new`](Self::try_new) reports.
+    ///
+    /// Kept beside [`fork_warm_mix`](Self::fork_warm_mix), to which it
+    /// forwards, because the end-to-end benchmark calls it.
     pub fn fork_warm(
         config: SimConfig,
         program: &'p Program,
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        let mut sim = Self::try_new(config, program)?;
-        sim.check_warm_identity(snapshot)?;
-        sim.apply_warm(snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))?;
-        Ok(sim)
+        Self::fork_warm_mix(config, &[program], snapshot)
     }
 
-    /// [`fork_warm`](Self::fork_warm) for a heterogeneous mix. The
-    /// snapshot's per-thread identity vector must match the mix position
-    /// by position.
+    /// [`fork_warm`](Self::fork_warm) over a program list: one program
+    /// for every thread, or one per thread, as for
+    /// [`try_new_mix`](Self::try_new_mix). The snapshot's identity
+    /// vector must match the list position by position.
     ///
     /// # Errors
     ///
     /// Same as [`fork_warm`](Self::fork_warm), plus [`SimError::Program`]
-    /// for a mix of the wrong arity.
+    /// for a list of the wrong length.
     pub fn fork_warm_mix(
         config: SimConfig,
         programs: &[&'p Program],
@@ -1777,43 +1775,46 @@ impl<'p> Simulator<'p> {
     ///   not match `config`/`program`, or its payload fails to decode;
     /// * whatever [`try_new`](Self::try_new) reports for the
     ///   configuration/program pair itself.
+    ///
+    /// Kept beside [`restore_mix`](Self::restore_mix), to which it
+    /// forwards, because the end-to-end benchmark calls it.
     pub fn restore(
         config: SimConfig,
         program: &'p Program,
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        check_exact_identity(&config, snapshot, "fork_warm()")?;
-        let want = program_identity(program);
-        if snapshot.program_hashes.as_slice() != [want] {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken of program(s) {:#018x?}, not [{want:#018x}]",
-                snapshot.program_hashes
-            )));
-        }
-        let programs = vec![program];
-        check_fit(&config, &programs)?;
-        Self::from_snapshot(config, programs, snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))
+        Self::restore_mix(config, &[program], snapshot)
     }
 
-    /// Rebuilds a simulator from a snapshot of a heterogeneous mix taken
-    /// under the same configuration and per-thread programs. The
-    /// snapshot's identity vector must match the mix **position by
-    /// position** — restoring under a permuted or partially swapped mix
-    /// fails closed.
+    /// [`restore`](Self::restore) over a program list: one program for
+    /// every thread, or one per thread, as for
+    /// [`try_new_mix`](Self::try_new_mix). The snapshot's identity
+    /// vector must match the list **position by position** — restoring
+    /// a mix under a permuted or partially swapped list, or a
+    /// homogeneous snapshot under a mix, fails closed.
     ///
     /// # Errors
     ///
     /// Same as [`restore`](Self::restore), plus
-    /// [`SimError::Program`] for a mix of the wrong arity.
+    /// [`SimError::Program`] for a list of the wrong length.
     pub fn restore_mix(
         config: SimConfig,
         programs: &[&'p Program],
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        check_exact_identity(&config, snapshot, "fork_warm_mix()")?;
+        if snapshot.warm.is_some() {
+            return Err(SimError::Snapshot(
+                "warm snapshot holds architectural state only; use fork_warm_mix()".into(),
+            ));
+        }
+        let want = config_identity(&config);
+        if snapshot.config_hash != want {
+            return Err(SimError::Snapshot(format!(
+                "snapshot was taken under config {:#018x}, not {want:#018x}",
+                snapshot.config_hash
+            )));
+        }
         let programs = mix_programs(&config, programs)?;
-        check_fit(&config, &programs)?;
         let want = identities(&programs);
         if snapshot.program_hashes != want {
             return Err(SimError::Snapshot(format!(
@@ -1821,6 +1822,7 @@ impl<'p> Simulator<'p> {
                 snapshot.program_hashes
             )));
         }
+        check_fit(&config, &programs)?;
         Self::from_snapshot(config, programs, snapshot)
             .map_err(|e| SimError::Snapshot(e.to_string()))
     }
@@ -2088,47 +2090,20 @@ fn check_fit(config: &SimConfig, programs: &[&Program]) -> Result<(), SimError> 
     Ok(())
 }
 
-/// The program list of a mix: one per thread, or the one program of a
-/// single-thread mix (architecturally the homogeneous machine).
+/// A machine's program list: one program, which every thread runs over
+/// shared memory, or exactly one program per thread (a mix).
 fn mix_programs<'p>(
     config: &SimConfig,
     programs: &[&'p Program],
 ) -> Result<Vec<&'p Program>, SimError> {
-    if programs.len() != config.threads {
+    if programs.len() != 1 && programs.len() != config.threads {
         return Err(SimError::Program(format!(
-            "mix of {} programs for {} threads",
+            "{} programs for {} threads: give one, or one per thread",
             programs.len(),
             config.threads
         )));
     }
-    Ok(if config.threads > 1 {
-        programs.to_vec()
-    } else {
-        vec![programs[0]]
-    })
-}
-
-/// The checks an exact restore makes before decoding: the snapshot is not
-/// a warm one (`fork` names the call that takes those), and it was taken
-/// under `config`.
-fn check_exact_identity(
-    config: &SimConfig,
-    snapshot: &Snapshot,
-    fork: &str,
-) -> Result<(), SimError> {
-    if snapshot.warm.is_some() {
-        return Err(SimError::Snapshot(format!(
-            "warm snapshot holds architectural state only; use {fork}"
-        )));
-    }
-    let want = config_identity(config);
-    if snapshot.config_hash != want {
-        return Err(SimError::Snapshot(format!(
-            "snapshot was taken under config {:#018x}, not {want:#018x}",
-            snapshot.config_hash
-        )));
-    }
-    Ok(())
+    Ok(programs.to_vec())
 }
 
 /// The identity vector stored in snapshots: one hash per entry of a
@@ -2710,16 +2685,83 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_mix_is_homogeneous() {
-        // At one thread the two forms are architecturally identical, so
-        // their snapshots interchange.
+    fn one_program_mix_is_homogeneous() {
+        // A one-program list is the homogeneous machine at every thread
+        // count: same run, same snapshot bytes, and its snapshots
+        // interchange with the single-program entry points'.
         let p = pattern_program();
-        let config = SimConfig::default().with_threads(1);
-        let mut sim = Simulator::try_new_mix(config.clone(), &[&p]).unwrap();
-        assert!(!sim.is_multiprogram());
+        for threads in [1usize, 2, 4, 8] {
+            let config = SimConfig::default().with_threads(threads);
+            let mut listed = Simulator::try_new_mix(config.clone(), &[&p]).unwrap();
+            let mut single = Simulator::try_new(config.clone(), &p).unwrap();
+            assert!(!listed.is_multiprogram());
+            for _ in 0..17 {
+                listed.step().unwrap();
+                single.step().unwrap();
+            }
+            let snap = single.checkpoint();
+            assert_eq!(
+                listed.checkpoint().to_bytes(),
+                snap.to_bytes(),
+                "{threads} threads"
+            );
+            let mut resumed = Simulator::restore_mix(config.clone(), &[&p], &snap).unwrap();
+            let stats = single.run().unwrap();
+            assert_eq!(listed.run().unwrap(), stats, "{threads} threads");
+            assert_eq!(resumed.run().unwrap(), stats, "{threads} threads");
+
+            let mut source = Simulator::try_new(config.clone(), &p).unwrap();
+            for _ in 0..17 {
+                source.step().unwrap();
+            }
+            source.drain().unwrap();
+            let snap = source.checkpoint_warm(&warm::relax_all()).unwrap();
+            let variant = config.with_su_depth(8);
+            let forked = Simulator::fork_warm(variant.clone(), &p, &snap)
+                .unwrap()
+                .run()
+                .unwrap();
+            let listed = Simulator::fork_warm_mix(variant, &[&p], &snap)
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(listed, forked, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn program_list_of_the_wrong_length_is_typed() {
+        let p = sum_program();
+        let config = SimConfig::default().with_threads(4);
+        let mut sim = Simulator::new(config.clone(), &p);
         sim.step().unwrap();
-        let snap = sim.checkpoint();
-        assert!(Simulator::restore(config, &p, &snap).is_ok());
+        let exact = sim.checkpoint();
+        sim.drain().unwrap();
+        let relaxed = sim.checkpoint_warm(&warm::relax_all()).unwrap();
+        for programs in [&[][..], &[&p, &p, &p][..]] {
+            let n = programs.len();
+            assert!(
+                matches!(
+                    Simulator::try_new_mix(config.clone(), programs),
+                    Err(SimError::Program(_))
+                ),
+                "{n} programs"
+            );
+            assert!(
+                matches!(
+                    Simulator::restore_mix(config.clone(), programs, &exact),
+                    Err(SimError::Program(_))
+                ),
+                "{n} programs"
+            );
+            assert!(
+                matches!(
+                    Simulator::fork_warm_mix(config.clone(), programs, &relaxed),
+                    Err(SimError::Program(_))
+                ),
+                "{n} programs"
+            );
+        }
     }
 
     #[test]

@@ -255,12 +255,6 @@ impl CorpusWorkload {
         &self.source_file
     }
 
-    /// The check predicate this workload is verified against.
-    #[must_use]
-    pub fn check_kind(&self) -> CheckKind {
-        self.check
-    }
-
     /// The scale-resolved layout (region bases, sizes).
     #[must_use]
     pub fn layout(&self, scale: Scale) -> Layout {

@@ -4,9 +4,10 @@
 //! proves it sound: each program is oracle-verified (lockstep against the
 //! functional reference) at 1, 2, and 4 threads, its architectural memory
 //! is checked against the manifest's result predicate, every 2-kernel
-//! pairing and one 4-way mix is verified under the per-thread mix oracle,
-//! and each mixed run's per-thread memory segment is re-checked against
-//! the owning kernel's predicate. Any failure exits nonzero.
+//! pairing and one 4-way mix is verified under the same oracle, each
+//! thread against a solo reference run of its own kernel, and each mixed
+//! run's per-thread memory segment is re-checked against the owning
+//! kernel's predicate. Any failure exits nonzero.
 //!
 //! `--report` runs the cross-program interference / fairness study and
 //! prints the markdown tables EXPERIMENTS.md embeds: per-thread IPC under
@@ -25,7 +26,7 @@ use std::process::ExitCode;
 use smt_core::{FetchPolicy, SimConfig, SimStats, Simulator};
 use smt_corpus::{Corpus, CorpusWorkload};
 use smt_isa::Program;
-use smt_oracle::{verify, verify_mix};
+use smt_oracle::verify_mix;
 use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
 use smt_workloads::Scale;
 
@@ -40,10 +41,11 @@ fn config(threads: usize, policy: FetchPolicy) -> SimConfig {
         .with_max_cycles(MAX_CYCLES)
 }
 
-/// Runs `programs[tid]` on thread `tid` and checks each thread's memory
-/// segment against its kernel's manifest predicate. Returns the run's
-/// stats and (optionally) the CPI stack.
-fn run_mix_checked(
+/// Runs `programs` — one kernel on every thread, or `programs[tid]` on
+/// thread `tid` — and checks each kernel's memory segment against its
+/// manifest predicate. Returns the run's stats and (optionally) the CPI
+/// stack.
+fn run_checked(
     kernels: &[&CorpusWorkload],
     programs: &[&Program],
     cfg: SimConfig,
@@ -70,24 +72,9 @@ fn run_mix_checked(
     Ok((stats, cpi))
 }
 
-/// Solo-runs one kernel at one thread with the manifest check attached.
-fn run_solo_checked(
-    kernel: &CorpusWorkload,
-    program: &Program,
-    policy: FetchPolicy,
-    scale: Scale,
-) -> Result<SimStats, String> {
-    let mut sim = Simulator::try_new(config(1, policy), program).map_err(|e| e.to_string())?;
-    let stats = sim.run().map_err(|e| e.to_string())?;
-    kernel
-        .verify(sim.memory().words(), scale)
-        .map_err(|e| format!("{}: {e}", kernel.name()))?;
-    Ok(stats)
-}
-
 /// Conformance pass: every kernel solo at 1/2/4 threads under the
 /// lockstep oracle and the manifest predicate, then every pair and one
-/// 4-way mix under the mix oracle. Returns the number of verifications.
+/// 4-way mix, one kernel per thread. Returns the number of verifications.
 fn check(corpus: &Corpus, scale: Scale) -> Result<usize, String> {
     let mut runs = 0;
     let built: Vec<(&CorpusWorkload, Program)> = corpus
@@ -102,11 +89,17 @@ fn check(corpus: &Corpus, scale: Scale) -> Result<usize, String> {
 
     for (kernel, program) in &built {
         for threads in [1usize, 2, 4] {
-            verify(program, config(threads, FetchPolicy::TrueRoundRobin))
+            verify_mix(&[program], config(threads, FetchPolicy::TrueRoundRobin))
                 .map_err(|d| format!("{} at {threads} threads: oracle: {d}", kernel.name()))?;
             runs += 1;
         }
-        run_solo_checked(kernel, program, FetchPolicy::TrueRoundRobin, scale)?;
+        run_checked(
+            &[kernel],
+            &[program],
+            config(1, FetchPolicy::TrueRoundRobin),
+            scale,
+            false,
+        )?;
         runs += 1;
     }
 
@@ -137,7 +130,7 @@ fn check(corpus: &Corpus, scale: Scale) -> Result<usize, String> {
             config(programs.len(), FetchPolicy::TrueRoundRobin),
         )
         .map_err(|d| format!("mix {}: oracle: {d}", label()))?;
-        run_mix_checked(
+        run_checked(
             &kernels,
             &programs,
             config(programs.len(), FetchPolicy::TrueRoundRobin),
@@ -182,7 +175,13 @@ fn report(corpus: &Corpus, scale: Scale) -> Result<String, String> {
                 .get(name)
                 .ok_or_else(|| format!("no workload {name} in the corpus"))?;
             let program = kernel.build(scale).map_err(|e| format!("{name}: {e}"))?;
-            let stats = run_solo_checked(kernel, &program, FetchPolicy::TrueRoundRobin, scale)?;
+            let (stats, _) = run_checked(
+                &[kernel],
+                &[&program],
+                config(1, FetchPolicy::TrueRoundRobin),
+                scale,
+                false,
+            )?;
             solo.push((kernel, program, stats));
         }
     }
@@ -229,7 +228,7 @@ fn report(corpus: &Corpus, scale: Scale) -> Result<String, String> {
 
         for policy in POLICIES {
             let (stats, cpi) =
-                run_mix_checked(&kernels, &programs, config(threads, policy), scale, true)
+                run_checked(&kernels, &programs, config(threads, policy), scale, true)
                     .map_err(|e| format!("mix {label} under {policy}: {e}"))?;
             let per = stats.per_thread_ipc();
             let (lo, hi) = per.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| {
@@ -367,7 +366,7 @@ fn main() -> ExitCode {
             Ok(runs) => {
                 println!(
                     "corpus_check: {} kernels, {runs} verified runs (solo oracle at 1/2/4 \
-                     threads, all pairs + one 4-way mix under the mix oracle), all clean",
+                     threads, all pairs + one 4-way mix, one kernel per thread), all clean",
                     corpus.workloads().len(),
                 );
                 ExitCode::SUCCESS

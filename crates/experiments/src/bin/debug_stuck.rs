@@ -5,8 +5,10 @@
 //! it stopped.
 //!
 //! ```text
-//! debug_stuck [ll3|ll5|laplace|sieve] [threads] [--cycles N] [--last K]
+//! debug_stuck [workload] [threads] [--cycles N] [--last K]
 //! ```
+//!
+//! The workload defaults to Sieve and the thread count to 6.
 
 use smt_core::{SimConfig, Simulator};
 use smt_trace::Tracer;
@@ -21,11 +23,14 @@ fn flag_value(args: &[String], flag: &str) -> Option<u64> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind = match args.first().map(String::as_str) {
-        Some("ll3") => WorkloadKind::Ll3,
-        Some("ll5") => WorkloadKind::Ll5,
-        Some("laplace") => WorkloadKind::Laplace,
-        _ => WorkloadKind::Sieve,
+    let name = args.first().map_or("sieve", String::as_str);
+    let Some(kind) = WorkloadKind::from_name(name) else {
+        let names: Vec<&str> = WorkloadKind::ALL.iter().map(|k| k.name()).collect();
+        eprintln!(
+            "debug_stuck: unknown workload `{name}` (expected one of {})",
+            names.join(", ")
+        );
+        std::process::exit(2);
     };
     let threads: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(6);
     let max_cycles = flag_value(&args, "--cycles").unwrap_or(200_000);

@@ -37,10 +37,9 @@ use std::fmt;
 use std::time::Instant;
 
 use smt_core::{FetchPolicy, PredictorKind, SimConfig, Simulator};
+use smt_isa::builder::BuildError;
 use smt_isa::Program;
-use smt_oracle::{
-    verify, verify_mix, verify_mix_with_checkpoints, verify_with_checkpoints, Divergence, Report,
-};
+use smt_oracle::{verify_mix, verify_mix_with_checkpoints, Divergence, Report};
 use smt_testkit::progen::{GenConfig, MixPlan, Plan};
 use smt_testkit::shrink;
 use smt_trace::Tracer;
@@ -161,217 +160,67 @@ struct Failure {
     report: String,
 }
 
+/// What a seed generates at one thread count: a [`Plan`] whose one
+/// program every thread runs, or a [`MixPlan`] with one program per
+/// thread, whose mask is the concatenation of the per-slot masks. Both
+/// lower to the program list the oracle verifies.
+enum Generated<'a> {
+    Uniform(&'a Plan),
+    Mix(MixPlan),
+}
+
+impl Generated<'_> {
+    fn seed(&self) -> u64 {
+        match self {
+            Generated::Uniform(plan) => plan.seed,
+            Generated::Mix(mix) => mix.seed,
+        }
+    }
+
+    fn mask_len(&self) -> usize {
+        match self {
+            Generated::Uniform(plan) => plan.mask_len(),
+            Generated::Mix(mix) => mix.mask_len(),
+        }
+    }
+
+    fn describe(&self, mask: &[bool]) -> String {
+        match self {
+            Generated::Uniform(plan) => plan.describe(mask),
+            Generated::Mix(mix) => mix.describe(mask),
+        }
+    }
+
+    /// The program list `mask` lowers to at `threads` threads.
+    fn build(&self, mask: &[bool], threads: usize) -> Result<Vec<Program>, BuildError> {
+        match self {
+            Generated::Uniform(plan) => plan.build(mask, threads).map(|p| vec![p]),
+            Generated::Mix(mix) => mix.build(mask),
+        }
+    }
+
+    /// The call that regenerates the program list of `build(&mask, threads)`.
+    fn repro(&self, threads: usize) -> String {
+        let seed = self.seed();
+        match self {
+            Generated::Uniform(_) => {
+                format!("Plan::generate({seed}, &GenConfig::default()).build(&mask, {threads})")
+            }
+            Generated::Mix(_) => {
+                format!("MixPlan::generate({seed}, {threads}, &GenConfig::default()).build(&mask)")
+            }
+        }
+    }
+}
+
 /// Cycles either side of the divergence covered by the lifecycle window.
 const TRACE_SPAN: u64 = 32;
 
-/// Re-runs `program` with a lifecycle recorder windowed around the
+/// Re-runs `programs` with a lifecycle recorder windowed around the
 /// diverging cycle and renders the captured timeline. The rerun may end in
 /// a fault or hang (that can be the divergence itself); the window is
 /// whatever was recorded up to that point.
-fn lifecycle_window(program: &Program, frontend: FrontEnd, threads: usize, cycle: u64) -> String {
-    let cfg = config(frontend, threads);
-    let (start, end) = (cycle.saturating_sub(TRACE_SPAN), cycle + TRACE_SPAN);
-    let cap = usize::try_from((end - start + 1) * cfg.block_size as u64).unwrap_or(4096);
-    let mut tracer = Tracer::new(cfg.trace_shape(), cap).with_window(start, end);
-    let mut sim = Simulator::new(cfg, program);
-    let outcome = sim.run_with(&mut tracer);
-    let mut out = format!("lifecycle window, instructions decoded in cycles {start}..={end}:\n");
-    out.push_str(&tracer.lifecycle.render());
-    if let Err(e) = outcome {
-        out.push_str(&format!("(traced rerun ended early: {e})\n"));
-    }
-    out
-}
-
-/// Runs the oracle, optionally splicing a snapshot round-trip into the
-/// machine every `checkpoint_every` cycles.
-fn run_verify(
-    program: &Program,
-    cfg: SimConfig,
-    checkpoint_every: Option<u64>,
-) -> Result<Report, Box<Divergence>> {
-    match checkpoint_every {
-        Some(every) => verify_with_checkpoints(program, cfg, every),
-        None => verify(program, cfg),
-    }
-}
-
-/// The mix counterpart of [`run_verify`]: `programs[tid]` runs on thread
-/// `tid`, each checked against a solo reference run of its own program.
-fn run_verify_mix(
-    programs: &[Program],
-    cfg: SimConfig,
-    checkpoint_every: Option<u64>,
-) -> Result<Report, Box<Divergence>> {
-    let refs: Vec<&Program> = programs.iter().collect();
-    match checkpoint_every {
-        Some(every) => verify_mix_with_checkpoints(&refs, cfg, every),
-        None => verify_mix(&refs, cfg),
-    }
-}
-
-/// Verifies one seed at every (policy, thread count) point. Returns the
-/// number of verifications done and the first failure, minimized.
-fn fuzz_seed(
-    seed: u64,
-    gen_cfg: &GenConfig,
-    trace: bool,
-    checkpoint_every: Option<u64>,
-) -> (u64, Option<Failure>) {
-    let plan = Plan::generate(seed, gen_cfg);
-    let mut runs = 0;
-    for threads in THREAD_COUNTS {
-        let program = plan
-            .build_full(threads)
-            .unwrap_or_else(|e| panic!("seed {seed}: plan must lower at {threads} threads: {e}"));
-        for frontend in FRONTENDS {
-            runs += 1;
-            if let Err(d) = run_verify(&program, config(frontend, threads), checkpoint_every) {
-                return (
-                    runs,
-                    Some(minimize(
-                        &plan,
-                        frontend,
-                        threads,
-                        &d,
-                        trace,
-                        checkpoint_every,
-                    )),
-                );
-            }
-        }
-    }
-    // The heterogeneous column: every thread runs a *different* generated
-    // program, checked per thread against a solo reference run.
-    for threads in MIX_THREADS {
-        let mix = MixPlan::generate(seed, threads, gen_cfg);
-        let programs = mix
-            .build_full()
-            .unwrap_or_else(|e| panic!("seed {seed}: mix must lower at {threads} slots: {e}"));
-        for frontend in MIX_FRONTENDS {
-            runs += 1;
-            if let Err(d) = run_verify_mix(&programs, config(frontend, threads), checkpoint_every) {
-                return (
-                    runs,
-                    Some(minimize_mix(&mix, frontend, &d, trace, checkpoint_every)),
-                );
-            }
-        }
-    }
-    (runs, None)
-}
-
-/// Shrinks the failing plan under the failing (policy, threads) point and
-/// formats the repro report.
-fn minimize(
-    plan: &Plan,
-    frontend: FrontEnd,
-    threads: usize,
-    original: &smt_oracle::Divergence,
-    trace: bool,
-    checkpoint_every: Option<u64>,
-) -> Failure {
-    // Minimize under the same verifier that failed: a checkpoint-specific
-    // bug would vanish under the plain one.
-    let mask = shrink::minimize(plan.mask_len(), |mask| {
-        plan.build(mask, threads)
-            .is_ok_and(|p| run_verify(&p, config(frontend, threads), checkpoint_every).is_err())
-    });
-    let minimized = plan
-        .build(&mask, threads)
-        .expect("minimizer only keeps buildable masks");
-    let divergence = match run_verify(&minimized, config(frontend, threads), checkpoint_every) {
-        Err(d) => *d,
-        // The minimizer's last accepted mask failed moments ago; a pass here
-        // would mean nondeterminism, which is itself worth reporting loudly.
-        Ok(_) => original.clone(),
-    };
-    let mask_bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
-    let mut listing = String::new();
-    for (pc, insn) in minimized.text().iter().enumerate() {
-        listing.push_str(&format!("    {pc:4}: {insn}\n"));
-    }
-    let window = if trace {
-        lifecycle_window(&minimized, frontend, threads, divergence.cycle)
-    } else {
-        String::new()
-    };
-    let report = format!(
-        "seed {seed} diverges under {frontend} with {threads} thread(s)\n\
-         minimized mask: {mask_bits}  ({desc})\n\
-         repro: Plan::generate({seed}, &GenConfig::default()).build(&mask, {threads})\n\
-         {divergence}\n\
-         minimized program ({len} instructions):\n{listing}{window}",
-        seed = plan.seed,
-        desc = plan.describe(&mask),
-        len = minimized.text().len(),
-    );
-    Failure {
-        seed: plan.seed,
-        frontend,
-        threads,
-        report,
-    }
-}
-
-/// Shrinks a failing mix under its failing front end: the minimizer works
-/// on the concatenation of the per-slot masks, so segments vanish from
-/// every thread's program at once until only the interacting parts remain.
-fn minimize_mix(
-    mix: &MixPlan,
-    frontend: FrontEnd,
-    original: &smt_oracle::Divergence,
-    trace: bool,
-    checkpoint_every: Option<u64>,
-) -> Failure {
-    let threads = mix.plans.len();
-    let mask = shrink::minimize(mix.mask_len(), |mask| {
-        mix.build(mask).is_ok_and(|ps| {
-            run_verify_mix(&ps, config(frontend, threads), checkpoint_every).is_err()
-        })
-    });
-    let minimized = mix
-        .build(&mask)
-        .expect("minimizer only keeps buildable masks");
-    let divergence = match run_verify_mix(&minimized, config(frontend, threads), checkpoint_every) {
-        Err(d) => *d,
-        Ok(_) => original.clone(),
-    };
-    let mask_bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
-    let mut listing = String::new();
-    for (slot, p) in minimized.iter().enumerate() {
-        listing.push_str(&format!(
-            "  thread {slot} program ({} instructions):\n",
-            p.text().len()
-        ));
-        for (pc, insn) in p.text().iter().enumerate() {
-            listing.push_str(&format!("    {pc:4}: {insn}\n"));
-        }
-    }
-    let window = if trace {
-        lifecycle_window_mix(&minimized, frontend, threads, divergence.cycle)
-    } else {
-        String::new()
-    };
-    let report = format!(
-        "seed {seed} (heterogeneous mix) diverges under {frontend} with {threads} thread(s)\n\
-         minimized concatenated mask: {mask_bits}  ({desc})\n\
-         repro: MixPlan::generate({seed}, {threads}, &GenConfig::default()).build(&mask)\n\
-         {divergence}\n{listing}{window}",
-        seed = mix.seed,
-        desc = mix.describe(&mask),
-    );
-    Failure {
-        seed: mix.seed,
-        frontend,
-        threads,
-        report,
-    }
-}
-
-/// [`lifecycle_window`] for a mix: the traced rerun restarts the machine
-/// with the per-thread programs.
-fn lifecycle_window_mix(
+fn lifecycle_window(
     programs: &[Program],
     frontend: FrontEnd,
     threads: usize,
@@ -384,7 +233,7 @@ fn lifecycle_window_mix(
     let refs: Vec<&Program> = programs.iter().collect();
     let mut sim = match Simulator::try_new_mix(cfg, &refs) {
         Ok(sim) => sim,
-        Err(e) => return format!("(no lifecycle window: mix rebuild failed: {e})\n"),
+        Err(e) => return format!("(no lifecycle window: rebuild failed: {e})\n"),
     };
     let outcome = sim.run_with(&mut tracer);
     let mut out = format!("lifecycle window, instructions decoded in cycles {start}..={end}:\n");
@@ -393,6 +242,118 @@ fn lifecycle_window_mix(
         out.push_str(&format!("(traced rerun ended early: {e})\n"));
     }
     out
+}
+
+/// Runs the oracle over `programs` (one for every thread, or one per
+/// thread), optionally splicing a snapshot round-trip into the machine
+/// every `checkpoint_every` cycles.
+fn run_verify(
+    programs: &[Program],
+    cfg: SimConfig,
+    checkpoint_every: Option<u64>,
+) -> Result<Report, Box<Divergence>> {
+    let refs: Vec<&Program> = programs.iter().collect();
+    match checkpoint_every {
+        Some(every) => verify_mix_with_checkpoints(&refs, cfg, every),
+        None => verify_mix(&refs, cfg),
+    }
+}
+
+/// Verifies one seed at every (front end, thread count) point: the
+/// homogeneous matrix, then the heterogeneous column, where every thread
+/// runs a *different* generated program, checked per thread against a solo
+/// reference run. Returns the number of verifications done and the first
+/// failure, minimized.
+fn fuzz_seed(
+    seed: u64,
+    gen_cfg: &GenConfig,
+    trace: bool,
+    checkpoint_every: Option<u64>,
+) -> (u64, Option<Failure>) {
+    let plan = Plan::generate(seed, gen_cfg);
+    let uniform = THREAD_COUNTS.map(|threads| (threads, Generated::Uniform(&plan), &FRONTENDS[..]));
+    let mixes = MIX_THREADS.into_iter().map(|threads| {
+        let mix = MixPlan::generate(seed, threads, gen_cfg);
+        (threads, Generated::Mix(mix), &MIX_FRONTENDS[..])
+    });
+    let mut runs = 0;
+    for (threads, generated, frontends) in uniform.into_iter().chain(mixes) {
+        let programs = generated
+            .build(&vec![true; generated.mask_len()], threads)
+            .unwrap_or_else(|e| panic!("seed {seed}: plan must lower at {threads} threads: {e}"));
+        for &frontend in frontends {
+            runs += 1;
+            if let Err(d) = run_verify(&programs, config(frontend, threads), checkpoint_every) {
+                let failure = minimize(&generated, frontend, threads, &d, trace, checkpoint_every);
+                return (runs, Some(failure));
+            }
+        }
+    }
+    (runs, None)
+}
+
+/// Shrinks the failing programs under the failing (front end, threads)
+/// point and formats the repro report. For a mix the minimizer works on
+/// the concatenated mask, so segments vanish from every thread's program
+/// at once until only the interacting parts remain.
+fn minimize(
+    generated: &Generated<'_>,
+    frontend: FrontEnd,
+    threads: usize,
+    original: &Divergence,
+    trace: bool,
+    checkpoint_every: Option<u64>,
+) -> Failure {
+    // Minimize under the same verifier that failed: a checkpoint-specific
+    // bug would vanish under the plain one.
+    let verify = |programs: &[Program]| -> Result<Report, Box<Divergence>> {
+        run_verify(programs, config(frontend, threads), checkpoint_every)
+    };
+    let mask = shrink::minimize(generated.mask_len(), |mask| {
+        generated
+            .build(mask, threads)
+            .is_ok_and(|ps| verify(&ps).is_err())
+    });
+    let minimized = generated
+        .build(&mask, threads)
+        .expect("minimizer only keeps buildable masks");
+    let divergence = match verify(&minimized) {
+        Err(d) => *d,
+        // The minimizer's last accepted mask failed moments ago; a pass here
+        // would mean nondeterminism, which is itself worth reporting loudly.
+        Ok(_) => original.clone(),
+    };
+    let mask_bits: String = mask.iter().map(|&b| if b { '1' } else { '0' }).collect();
+    let mut listing = String::new();
+    for (slot, p) in minimized.iter().enumerate() {
+        listing.push_str(&format!(
+            "minimized program {slot} ({} instructions):\n",
+            p.text().len()
+        ));
+        for (pc, insn) in p.text().iter().enumerate() {
+            listing.push_str(&format!("    {pc:4}: {insn}\n"));
+        }
+    }
+    let window = if trace {
+        lifecycle_window(&minimized, frontend, threads, divergence.cycle)
+    } else {
+        String::new()
+    };
+    let report = format!(
+        "seed {seed} diverges under {frontend} with {threads} thread(s)\n\
+         minimized mask: {mask_bits}  ({desc})\n\
+         repro: {repro}\n\
+         {divergence}\n{listing}{window}",
+        seed = generated.seed(),
+        desc = generated.describe(&mask),
+        repro = generated.repro(threads),
+    );
+    Failure {
+        seed: generated.seed(),
+        frontend,
+        threads,
+        report,
+    }
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

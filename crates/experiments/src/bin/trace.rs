@@ -3,11 +3,14 @@
 //!
 //! ```text
 //! trace --workload matrix --threads 4 --format cpistack
-//! trace --workload ll7 --policy cond --format konata --out ll7.kanata
+//! trace --workload ll7 --policy cs --format konata --out ll7.kanata
 //! trace --workload sieve --window 100..400 --format chrome --out t.json
-//! trace --workload matrix --policy icount --predictor gshare \
+//! trace --workload matrix --policy ic --predictor gsh \
 //!     --fetch-threads 2 --fetch-width 8
 //! ```
+//!
+//! `--policy` and `--predictor` take the level spellings of the sweep's
+//! cell ids (`trr|mrr|cs|ic`, `btb|gsh|pbtb`).
 //!
 //! Formats:
 //!
@@ -25,6 +28,7 @@
 use std::io::Write as _;
 
 use smt_core::{FetchPolicy, PredictorKind, SimConfig, Simulator};
+use smt_experiments::sweep::lookup;
 use smt_trace::{export, Tracer};
 use smt_workloads::{workload, Scale, WorkloadKind};
 
@@ -46,26 +50,13 @@ fn workload_flag(name: &str) -> WorkloadKind {
 }
 
 fn policy_flag(name: &str) -> FetchPolicy {
-    match name.to_ascii_lowercase().as_str() {
-        "trr" | "true-round-robin" => FetchPolicy::TrueRoundRobin,
-        "mrr" | "masked-round-robin" => FetchPolicy::MaskedRoundRobin,
-        "cond" | "conditional-switch" => FetchPolicy::ConditionalSwitch,
-        "ic" | "icount" => FetchPolicy::Icount,
-        other => die(&format!(
-            "unknown fetch policy `{other}` (expected trr, mrr, cond, or icount)"
-        )),
-    }
+    let levels = FetchPolicy::ALL.map(|k| (k.abbrev(), k));
+    lookup("fetch policy", levels, name).unwrap_or_else(|e| die(&e))
 }
 
 fn predictor_flag(name: &str) -> PredictorKind {
-    match name.to_ascii_lowercase().as_str() {
-        "shared" | "shared-btb" => PredictorKind::SharedBtb,
-        "gshare" => PredictorKind::Gshare,
-        "partitioned" | "partitioned-btb" => PredictorKind::PartitionedBtb,
-        other => die(&format!(
-            "unknown predictor `{other}` (expected shared, gshare, or partitioned)"
-        )),
-    }
+    let levels = PredictorKind::ALL.map(|k| (k.abbrev(), k));
+    lookup("predictor", levels, name).unwrap_or_else(|e| die(&e))
 }
 
 fn parse_window(spec: &str) -> (u64, u64) {

@@ -455,11 +455,7 @@ impl<'a> Explorer<'a> {
             }
         };
         let refs: Vec<&Program> = programs.iter().collect();
-        let forked = match refs[..] {
-            [p] => Simulator::fork_warm(spec.config(), p, &snap),
-            _ => Simulator::fork_warm_mix(spec.config(), &refs, &snap),
-        };
-        let mut sim = match forked {
+        let mut sim = match Simulator::fork_warm_mix(spec.config(), &refs, &snap) {
             Ok(sim) => sim,
             Err(e @ (SimError::RegisterWindow { .. } | SimError::Config(_))) => {
                 return infeasible(program_hash, e.to_string());
@@ -511,11 +507,8 @@ impl<'a> Explorer<'a> {
 fn make_warm(programs: &[Program], threads: usize, warmup: u64) -> Result<Snapshot, String> {
     let config = SimConfig::default().with_threads(threads);
     let refs: Vec<&Program> = programs.iter().collect();
-    let mut sim = match refs[..] {
-        [p] => Simulator::try_new(config, p),
-        _ => Simulator::try_new_mix(config, &refs),
-    }
-    .map_err(|e| format!("canonical warmup machine rejected: {e}"))?;
+    let mut sim = Simulator::try_new_mix(config, &refs)
+        .map_err(|e| format!("canonical warmup machine rejected: {e}"))?;
     for _ in 0..warmup {
         if sim.finished() {
             return Err(format!("kernel retired within the {warmup}-cycle warmup"));

@@ -110,14 +110,6 @@ fn table_into(out: &mut String, table: &Table, indent: usize) {
     let _ = write!(out, "{inner}]\n{pad}}}");
 }
 
-/// Serializes one table as pretty-printed JSON.
-#[must_use]
-pub fn table_to_json(table: &Table) -> String {
-    let mut out = String::new();
-    table_into(&mut out, table, 0);
-    out
-}
-
 /// Serializes a slice of tables as a pretty-printed JSON array.
 #[must_use]
 pub fn tables_to_json(tables: &[Table]) -> String {

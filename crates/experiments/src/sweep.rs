@@ -1171,24 +1171,17 @@ impl Scheduler {
             let rec = CellRecord::infeasible(id, code_version, config_hash, program_hash, reason);
             outcome(rec, false, 0, None)
         };
-        // Uniform cells replicate one program across the partition (the
-        // pre-mix construction paths, so their snapshots and identity
-        // hashes are unchanged); a mix places one single-threaded program
-        // per thread.
+        // A uniform cell's one program runs on every thread; a mix places
+        // one single-threaded program per thread.
         let programs: Vec<&Program> = match built.as_ref() {
             Err(e) => return infeasible(0, lowering_failure(spec.threads, e)),
             Ok(ps) => ps.iter().collect(),
         };
         let config = spec.config();
-        let restored = load_ckpt(&self.out, id, code_version).and_then(|snap| match programs[..] {
-            [p] => Simulator::restore(config.clone(), p, &snap).ok(),
-            _ => Simulator::restore_mix(config.clone(), &programs, &snap).ok(),
-        });
+        let restored = load_ckpt(&self.out, id, code_version)
+            .and_then(|snap| Simulator::restore_mix(config.clone(), &programs, &snap).ok());
         let resumed = restored.is_some();
-        let fresh = || match programs[..] {
-            [p] => Simulator::try_new(config.clone(), p),
-            _ => Simulator::try_new_mix(config.clone(), &programs),
-        };
+        let fresh = || Simulator::try_new_mix(config.clone(), &programs);
         let mut sim = match restored.map_or_else(fresh, Ok) {
             Ok(sim) => sim,
             // Config rejections are holes in the space too: e.g. two fetch
@@ -1272,14 +1265,12 @@ impl Scheduler {
         }
     }
 
-    /// Verifies a finished machine's architectural answer. Every tenant
-    /// of a mix is checked against its own address-space segment, exactly
-    /// as if it had run alone.
+    /// Verifies a finished machine's architectural answer. Each program
+    /// is checked against the segment of the first thread that runs it:
+    /// all of memory for a uniform cell, and for each tenant of a mix its
+    /// own segment, exactly as if it had run alone.
     pub(crate) fn check_answer(&self, work: &WorkSpec, sim: &Simulator<'_>) -> Result<(), String> {
         let words = sim.memory().words();
-        if !work.is_mix() {
-            return self.check_ref(&work.refs()[0], words);
-        }
         for (tid, r) in work.refs().iter().enumerate() {
             let (base, span) = sim.thread_segment(tid);
             let local = &words[(base / 8) as usize..((base + span) / 8) as usize];

@@ -172,12 +172,25 @@ pub struct Report {
 }
 
 /// The lockstep oracle. Attach to a run with
-/// [`Simulator::run_with`], or use [`verify`] for the whole
+/// [`Simulator::run_with`], or use [`verify_mix`] for the whole
 /// run-and-diff workflow.
+///
+/// It holds one reference interpreter per program of the machine's
+/// program list: the homogeneous program's runs every thread, and each
+/// program of a mix runs its own thread alone, as a 1-thread machine —
+/// exactly the mix's architectural contract. Store addresses are
+/// localized against the thread's segment base before comparison (the
+/// machine's flat backing memory is global; each reference speaks
+/// thread-local addresses); memory faults already carry thread-local
+/// addresses by construction.
 #[derive(Debug)]
 pub struct Oracle<'p> {
-    interp: Interp<'p>,
-    program: &'p Program,
+    programs: Vec<&'p Program>,
+    /// `interps[i]` runs `programs[i]`.
+    interps: Vec<Interp<'p>>,
+    /// Byte offset of each machine thread's data segment in the flat
+    /// backing memory ([`Simulator::thread_segment`]).
+    bases: Vec<u64>,
     /// How many interpreter steps to search for an expected fault. The
     /// faulting instruction trails the last emitted retirement by at most
     /// the scheduling unit's capacity (its block may commit behind done
@@ -189,14 +202,33 @@ pub struct Oracle<'p> {
 }
 
 impl<'p> Oracle<'p> {
-    /// Creates an oracle for a `threads`-thread run of `program`.
-    /// `fault_bound` should be at least the scheduling-unit depth (use
+    /// Creates an oracle for a machine whose thread `t` has its data
+    /// segment `bases[t]` bytes into the flat memory, running either one
+    /// program on every thread or `programs[t]` on thread `t` (the
+    /// program list [`Simulator::try_new_mix`] takes). `fault_bound`
+    /// should be at least the scheduling-unit depth (use
     /// `config.su_depth`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs` holds neither one entry nor one per base.
     #[must_use]
-    pub fn new(program: &'p Program, threads: usize, fault_bound: usize) -> Self {
+    pub fn new(programs: &[&'p Program], bases: &[u64], fault_bound: usize) -> Self {
+        let interps = match programs {
+            [p] => vec![Interp::new(p, bases.len())],
+            _ => {
+                assert_eq!(
+                    programs.len(),
+                    bases.len(),
+                    "one program, or one per thread"
+                );
+                programs.iter().map(|p| Interp::new(p, 1)).collect()
+            }
+        };
         Oracle {
-            interp: Interp::new(program, threads),
-            program,
+            programs: programs.to_vec(),
+            interps,
+            bases: bases.to_vec(),
             fault_bound: fault_bound.max(4),
             seqno: 0,
             divergence: None,
@@ -210,16 +242,13 @@ impl<'p> Oracle<'p> {
         self.divergence.as_deref()
     }
 
-    /// Consumes the oracle, yielding the first divergence.
-    #[must_use]
-    pub fn into_divergence(self) -> Option<Box<Divergence>> {
-        self.divergence
-    }
-
-    /// The reference interpreter (for end-of-run state comparison).
-    #[must_use]
-    pub fn interp(&self) -> &Interp<'p> {
-        &self.interp
+    /// Which reference runs machine thread `tid`, and as which of its
+    /// threads.
+    fn locate(&self, tid: usize) -> (usize, usize) {
+        match self.interps.len() {
+            1 => (0, tid),
+            _ => (tid, 0),
+        }
     }
 
     fn diverge(&mut self, r: &Retirement, kind: DivergenceKind) {
@@ -232,15 +261,16 @@ impl<'p> Oracle<'p> {
             block: r.block,
             tid: r.tid,
             pc: r.pc,
-            disasm: context_disasm(self.program, r.pc),
+            disasm: context_disasm(self.programs[self.locate(r.tid).0], r.pc),
             kind,
         }));
     }
 
-    /// Steps the reference thread forward expecting it to raise `fault` at
-    /// `pc`. Used for commit-time faults (delivered as a stream event) and
-    /// issue-time faults of the non-speculative sync ops (which abort the
-    /// run without an event). Records a divergence on disagreement.
+    /// Steps thread `tid`'s reference forward expecting it to raise
+    /// `fault` at `pc`. Used for commit-time faults (delivered as a stream
+    /// event) and issue-time faults of the non-speculative sync ops (which
+    /// abort the run without an event). Records a divergence on
+    /// disagreement.
     pub fn expect_fault(&mut self, tid: usize, pc: usize, fault: MemError) {
         if self.divergence.is_some() || self.confirmed_fault.is_some() {
             return;
@@ -255,20 +285,22 @@ impl<'p> Oracle<'p> {
             mem: None,
             fault: Some(fault),
         };
+        let (i, local) = self.locate(tid);
+        let interp = &mut self.interps[i];
         // The faulting instruction may trail the last emitted retirement:
         // older same-thread instructions can be done but uncommitted when a
         // non-speculative sync op faults at issue, and a commit fault skips
         // the healthy leading entries of its own block. Walk the reference
         // forward until it faults too.
         for _ in 0..self.fault_bound {
-            if self.interp.is_halted(tid) {
+            if interp.is_halted(local) {
                 break;
             }
-            match self.interp.step_thread(tid) {
+            match interp.step_thread(local) {
                 Ok(Progress::Stepped) => {}
                 Ok(Progress::Blocked | Progress::Halted) => break,
                 Err(reference) => {
-                    if faults_match(fault, tid, pc, reference) {
+                    if faults_match(fault, local, pc, reference) {
                         self.confirmed_fault = Some((tid, pc));
                     } else {
                         self.diverge(
@@ -289,100 +321,125 @@ impl<'p> Oracle<'p> {
     fn check(&mut self, r: &Retirement) {
         if let Some(fault) = r.fault {
             self.expect_fault(r.tid, r.pc, fault);
-            return;
+        } else if let Err(kind) = self.replay(r) {
+            self.diverge(r, kind);
         }
-        if self.interp.is_halted(r.tid) {
-            self.diverge(r, DivergenceKind::AfterHalt);
-            return;
+    }
+
+    /// Steps the retiring thread's reference over one fault-free
+    /// retirement, comparing what both sides observe.
+    fn replay(&mut self, r: &Retirement) -> Result<(), DivergenceKind> {
+        let (i, local) = self.locate(r.tid);
+        let interp = &mut self.interps[i];
+        if interp.is_halted(local) {
+            return Err(DivergenceKind::AfterHalt);
         }
-        let reference_pc = self.interp.thread_pc(r.tid);
-        if reference_pc != r.pc {
-            self.diverge(
-                r,
-                DivergenceKind::Pc {
-                    reference: reference_pc,
-                },
-            );
-            return;
+        let reference = interp.thread_pc(local);
+        if reference != r.pc {
+            return Err(DivergenceKind::Pc { reference });
         }
         // Stores: derive the reference address/data from the *pre-step*
         // register state, then compare against what the machine released to
         // its store buffer.
         if r.op() == Opcode::Sd {
-            let insn = self
-                .program
+            let insn = self.programs[i]
                 .fetch(r.pc)
                 .expect("retired pc is inside the text segment");
-            let base = self.interp.reg(r.tid, insn.rs1);
-            let reference_addr = effective_addr(base, insn.imm);
-            let reference_data = self.interp.reg(r.tid, insn.rs2);
-            let (sim_addr, sim_data) = r.mem.expect("store retirement carries its access");
-            if sim_addr != reference_addr {
-                self.diverge(
-                    r,
-                    DivergenceKind::StoreAddr {
-                        sim: sim_addr,
-                        reference: reference_addr,
-                    },
-                );
-                return;
+            let reference = effective_addr(interp.reg(local, insn.rs1), insn.imm);
+            let (addr, sim) = r.mem.expect("store retirement carries its access");
+            // Wrapping subtraction keeps a cross-segment store (a global
+            // address below this thread's base) unequal to every
+            // thread-local address instead of panicking.
+            let addr = addr.wrapping_sub(self.bases[r.tid]);
+            if addr != reference {
+                return Err(DivergenceKind::StoreAddr {
+                    sim: addr,
+                    reference,
+                });
             }
-            if sim_data != reference_data {
-                self.diverge(
-                    r,
-                    DivergenceKind::StoreData {
-                        sim: sim_data,
-                        reference: reference_data,
-                    },
-                );
-                return;
+            let reference = interp.reg(local, insn.rs2);
+            if sim != reference {
+                return Err(DivergenceKind::StoreData { sim, reference });
             }
         }
-        match self.interp.step_thread(r.tid) {
+        match interp.step_thread(local) {
             Ok(Progress::Stepped) => {}
             Ok(Progress::Halted) => {
                 if r.op() != Opcode::Halt {
-                    self.diverge(
-                        r,
-                        DivergenceKind::Reference("halted on a non-halt retirement".into()),
-                    );
-                    return;
+                    return Err(DivergenceKind::Reference(
+                        "halted on a non-halt retirement".into(),
+                    ));
                 }
+            }
+            // The machine observed the flag satisfied (a POST that has
+            // executed but not yet retired) — legal; accept.
+            Ok(Progress::Blocked) if r.op() == Opcode::Wait => {
+                interp.retire_wait_satisfied(local);
             }
             Ok(Progress::Blocked) => {
-                if r.op() == Opcode::Wait {
-                    // The machine observed the flag satisfied (a POST that
-                    // has executed but not yet retired) — legal; accept.
-                    self.interp.retire_wait_satisfied(r.tid);
-                } else {
-                    self.diverge(
-                        r,
-                        DivergenceKind::Reference("blocked on a non-wait retirement".into()),
-                    );
-                    return;
-                }
+                return Err(DivergenceKind::Reference(
+                    "blocked on a non-wait retirement".into(),
+                ));
             }
             Err(e) => {
-                self.diverge(
-                    r,
-                    DivergenceKind::Reference(format!("faulted where the sim retired: {e}")),
-                );
-                return;
+                return Err(DivergenceKind::Reference(format!(
+                    "faulted where the sim retired: {e}"
+                )));
             }
         }
-        if let Some((reg, sim_value)) = r.dest {
-            let reference = self.interp.reg(r.tid, reg);
-            if reference != sim_value {
-                self.diverge(
-                    r,
-                    DivergenceKind::Dest {
-                        reg,
-                        sim: sim_value,
-                        reference,
-                    },
-                );
+        if let Some((reg, sim)) = r.dest {
+            let reference = interp.reg(local, reg);
+            if reference != sim {
+                return Err(DivergenceKind::Dest {
+                    reg,
+                    sim,
+                    reference,
+                });
             }
         }
+        Ok(())
+    }
+
+    /// The first way a finished machine differs from the references:
+    /// each reference is compared with the threads it ran — their
+    /// register windows, retirement counts and memory segment. A mix
+    /// names the thread.
+    fn final_state_error(&self, sim: &Simulator<'_>, committed: &[u64]) -> Option<String> {
+        let window = sim.reg_file().len() / committed.len();
+        let words = sim.memory().words();
+        for (i, interp) in self.interps.iter().enumerate() {
+            let who = match self.interps.len() {
+                1 => String::new(),
+                _ => format!("thread {i}: "),
+            };
+            // Reference `i` ran machine threads `i * n..(i + 1) * n`.
+            let n = interp.n_threads();
+            let tids = i * n..(i + 1) * n;
+            let stride = interp.reg_file().len() / n;
+            let (base, span) = sim.thread_segment(tids.start);
+            let segment =
+                &words[(base / WORD_BYTES) as usize..((base + span) / WORD_BYTES) as usize];
+            if !interp.finished() {
+                return Some(format!("{who}the reference has not halted"));
+            }
+            if committed[tids.clone()] != *interp.retired_counts() {
+                return Some(format!(
+                    "{who}retirement counts differ: sim {:?}, reference {:?}",
+                    &committed[tids],
+                    interp.retired_counts()
+                ));
+            }
+            if tids.clone().any(|t| {
+                sim.reg_file()[t * window..][..window]
+                    != interp.reg_file()[(t - tids.start) * stride..][..window]
+            }) {
+                return Some(format!("{who}register files differ"));
+            }
+            if segment != interp.mem_words() {
+                return Some(format!("{who}memory images differ"));
+            }
+        }
+        None
     }
 }
 
@@ -433,35 +490,19 @@ fn context_disasm(program: &Program, pc: usize) -> String {
 }
 
 /// Runs `program` under `config` with the oracle attached and returns the
-/// run summary, or the first divergence.
-///
-/// A memory fault is *not* a divergence when the reference faults
-/// identically (same kind, address, thread, and pc) — the report then
-/// carries the fault location. Final register-file/memory comparison is
-/// skipped on fault paths (the machine stops mid-program by design).
+/// run summary, or the first divergence. Kept beside [`verify_mix`], to
+/// which it forwards, because the end-to-end benchmark calls it.
 ///
 /// # Errors
 ///
-/// The first [`Divergence`], including harness-level failures (watchdog
-/// timeout, invalid configuration) as [`DivergenceKind::Harness`].
+/// The first [`Divergence`], as for [`verify_mix`].
 pub fn verify(program: &Program, config: SimConfig) -> Result<Report, Box<Divergence>> {
-    let threads = config.threads;
-    let fault_bound = config.su_depth;
-    let mut sim =
-        Simulator::try_new(config, program).map_err(|e| harness_divergence(e.to_string()))?;
-    let mut oracle = Oracle::new(program, threads, fault_bound);
-    let outcome = sim.run_with(&mut oracle);
-    conclude(&sim, oracle, outcome)
+    verify_mix(&[program], config)
 }
 
-/// Like [`verify`], but additionally exercises checkpoint/restore: every
-/// `every` cycles the run is interrupted, the machine is serialized to
-/// the snapshot wire format, decoded back, and **replaced** by the
-/// restored copy, which then continues under the same oracle. A clean
-/// report therefore certifies not only that the commit stream matches
-/// the reference, but that mid-run snapshots are transparent — the
-/// stream across every splice point is indistinguishable from an
-/// uninterrupted run's.
+/// Like [`verify`], but additionally exercises checkpoint/restore (see
+/// [`verify_mix_with_checkpoints`], to which it forwards). Kept because
+/// the end-to-end benchmark calls it.
 ///
 /// # Errors
 ///
@@ -476,27 +517,85 @@ pub fn verify_with_checkpoints(
     config: SimConfig,
     every: u64,
 ) -> Result<Report, Box<Divergence>> {
+    verify_mix_with_checkpoints(&[program], config, every)
+}
+
+/// Runs a machine over `programs` — one program on every thread, or
+/// `programs[t]` on thread `t` (see [`Simulator::try_new_mix`]) — under
+/// `config` with the [`Oracle`] attached, and returns the run summary,
+/// or the first divergence. After a clean run each reference's threads
+/// are checked for their final register windows, memory segment, and
+/// retirement counts.
+///
+/// A memory fault is *not* a divergence when the reference faults
+/// identically (same kind, address, thread, and pc) — the report then
+/// carries the fault location. Final register-file/memory comparison is
+/// skipped on fault paths (the machine stops mid-program by design).
+///
+/// # Errors
+///
+/// The first [`Divergence`], including harness-level failures (watchdog
+/// timeout, invalid configuration or program list) as
+/// [`DivergenceKind::Harness`].
+pub fn verify_mix(programs: &[&Program], config: SimConfig) -> Result<Report, Box<Divergence>> {
+    run_verified(programs, config, None)
+}
+
+/// Like [`verify_mix`], but every `every` cycles the run is interrupted,
+/// the machine is serialized to the snapshot wire format, decoded back,
+/// and **replaced** by the restored copy, which then continues under the
+/// same oracle. A clean report therefore certifies not only that the
+/// commit stream matches the reference, but that mid-run snapshots are
+/// transparent — the stream across every splice point is
+/// indistinguishable from an uninterrupted run's.
+///
+/// # Errors
+///
+/// The first [`Divergence`]; snapshot encode/decode/restore failures
+/// surface as [`DivergenceKind::Harness`].
+///
+/// # Panics
+///
+/// Panics if `every` is zero.
+pub fn verify_mix_with_checkpoints(
+    programs: &[&Program],
+    config: SimConfig,
+    every: u64,
+) -> Result<Report, Box<Divergence>> {
     assert!(every > 0, "checkpoint interval must be positive");
-    let threads = config.threads;
-    let fault_bound = config.su_depth;
-    let mut sim = Simulator::try_new(config.clone(), program)
-        .map_err(|e| harness_divergence(e.to_string()))?;
-    let mut oracle = Oracle::new(program, threads, fault_bound);
-    let outcome = run_spliced(&mut sim, &mut oracle, every, |snap| {
-        Simulator::restore(config.clone(), program, snap)
-    })?;
+    run_verified(programs, config, Some(every))
+}
+
+/// The one verify body: builds the machine and its oracle, runs it —
+/// splicing a snapshot round trip in every `every` cycles, if given —
+/// and folds the outcome into a [`Report`].
+fn run_verified(
+    programs: &[&Program],
+    config: SimConfig,
+    every: Option<u64>,
+) -> Result<Report, Box<Divergence>> {
+    let mut sim =
+        Simulator::try_new_mix(config, programs).map_err(|e| harness_divergence(e.to_string()))?;
+    let bases: Vec<u64> = (0..sim.config().threads)
+        .map(|t| sim.thread_segment(t).0)
+        .collect();
+    let mut oracle = Oracle::new(programs, &bases, sim.config().su_depth);
+    let outcome = match every {
+        None => sim.run_with(&mut oracle),
+        Some(every) => run_spliced(&mut sim, &mut oracle, every, programs)?,
+    };
     conclude(&sim, oracle, outcome)
 }
 
 /// The splice loop of the `*_with_checkpoints` verifiers: runs `sim` under
-/// `obs`, and every `every` cycles replaces it with `restore` of its own
-/// snapshot after an encode/decode round trip. Returns the run outcome;
-/// `sim` is left holding the machine that produced it.
+/// `obs`, and every `every` cycles replaces it with a restore of its own
+/// snapshot over `programs`, after an encode/decode round trip. Returns
+/// the run outcome; `sim` is left holding the machine that produced it.
 fn run_spliced<'p, O: Observer>(
     sim: &mut Simulator<'p>,
     obs: &mut O,
     every: u64,
-    restore: impl Fn(&Snapshot) -> Result<Simulator<'p>, SimError>,
+    programs: &[&'p Program],
 ) -> Result<Result<SimStats, SimError>, Box<Divergence>> {
     loop {
         for _ in 0..every {
@@ -520,247 +619,8 @@ fn run_spliced<'p, O: Observer>(
         let bytes = sim.checkpoint().to_bytes();
         let snap = Snapshot::from_bytes(&bytes)
             .map_err(|e| harness_divergence(format!("snapshot decode: {e}")))?;
-        *sim = restore(&snap).map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
-    }
-}
-
-/// Lockstep oracle for a heterogeneous program mix: one reference
-/// interpreter per hardware thread, each running its own program as a
-/// 1-thread machine — exactly the mix's architectural contract. Store
-/// addresses are localized (the machine's flat backing memory is global;
-/// each reference speaks thread-local addresses) before comparison;
-/// memory faults already carry thread-local addresses by construction.
-#[derive(Debug)]
-pub struct MixOracle<'p> {
-    /// One per-thread oracle, each over a 1-thread interpreter. Thread
-    /// `tid`'s retirements are localized and replayed on `oracles[tid]`.
-    oracles: Vec<Oracle<'p>>,
-    /// Per-thread byte offset of the thread's data segment in the flat
-    /// backing memory ([`Simulator::thread_segment`]).
-    bases: Vec<u64>,
-    seqno: u64,
-    divergence: Option<Box<Divergence>>,
-    confirmed_fault: Option<(usize, usize)>,
-}
-
-impl<'p> MixOracle<'p> {
-    /// Creates a mix oracle: `programs[tid]` runs on thread `tid`, whose
-    /// data segment starts `bases[tid]` bytes into the flat memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `programs` and `bases` disagree in length.
-    #[must_use]
-    pub fn new(programs: &[&'p Program], bases: &[u64], fault_bound: usize) -> Self {
-        assert_eq!(
-            programs.len(),
-            bases.len(),
-            "one memory base per mix program"
-        );
-        MixOracle {
-            oracles: programs
-                .iter()
-                .map(|p| Oracle::new(p, 1, fault_bound))
-                .collect(),
-            bases: bases.to_vec(),
-            seqno: 0,
-            divergence: None,
-            confirmed_fault: None,
-        }
-    }
-
-    /// The first divergence observed, if any.
-    #[must_use]
-    pub fn divergence(&self) -> Option<&Divergence> {
-        self.divergence.as_deref()
-    }
-
-    /// Consumes the oracle, yielding the first divergence.
-    #[must_use]
-    pub fn into_divergence(self) -> Option<Box<Divergence>> {
-        self.divergence
-    }
-
-    /// Thread `tid`'s reference interpreter.
-    #[must_use]
-    pub fn interp(&self, tid: usize) -> &Interp<'p> {
-        self.oracles[tid].interp()
-    }
-
-    /// Expects thread `tid`'s reference to fault like the machine did
-    /// (see [`Oracle::expect_fault`]). The fault's address is
-    /// thread-local on both sides.
-    pub fn expect_fault(&mut self, tid: usize, pc: usize, fault: MemError) {
-        if self.divergence.is_some() || self.confirmed_fault.is_some() {
-            return;
-        }
-        self.oracles[tid].expect_fault(0, pc, fault);
-        self.reap(tid);
-    }
-
-    /// Lifts thread `tid`'s inner oracle verdicts (divergence, confirmed
-    /// fault) into the mix-level state, restoring the global thread id
-    /// and stream position.
-    fn reap(&mut self, tid: usize) {
-        if let Some((_, pc)) = self.oracles[tid].confirmed_fault.take() {
-            self.confirmed_fault = Some((tid, pc));
-        }
-        if self.divergence.is_some() {
-            return;
-        }
-        if let Some(mut d) = self.oracles[tid].divergence.take() {
-            d.tid = tid;
-            d.seqno = self.seqno;
-            self.divergence = Some(d);
-        }
-    }
-}
-
-impl Observer for MixOracle<'_> {
-    fn retired(&mut self, r: &Retirement) {
-        if self.divergence.is_none() {
-            let mut local = *r;
-            local.tid = 0;
-            if let Some((addr, data)) = local.mem {
-                // Wrapping subtraction keeps a cross-segment store (a
-                // global address below this thread's base) unequal to
-                // every thread-local address instead of panicking.
-                local.mem = Some((addr.wrapping_sub(self.bases[r.tid]), data));
-            }
-            self.oracles[r.tid].check(&local);
-            self.reap(r.tid);
-        }
-        self.seqno += 1;
-    }
-}
-
-/// Runs a heterogeneous mix (`programs[tid]` on thread `tid`) under
-/// `config` with a [`MixOracle`] attached — the mix counterpart of
-/// [`verify`]. Each thread's commit stream, final register window,
-/// memory segment, and retirement count are checked against a solo
-/// 1-thread reference run of its own program.
-///
-/// # Errors
-///
-/// The first [`Divergence`], as for [`verify`].
-pub fn verify_mix(programs: &[&Program], config: SimConfig) -> Result<Report, Box<Divergence>> {
-    let fault_bound = config.su_depth;
-    let mut sim =
-        Simulator::try_new_mix(config, programs).map_err(|e| harness_divergence(e.to_string()))?;
-    let bases: Vec<u64> = (0..programs.len())
-        .map(|t| sim.thread_segment(t).0)
-        .collect();
-    let mut oracle = MixOracle::new(programs, &bases, fault_bound);
-    let outcome = sim.run_with(&mut oracle);
-    conclude_mix(&sim, oracle, outcome)
-}
-
-/// Like [`verify_mix`], but splices a serialize/decode/restore cycle
-/// into the run every `every` cycles (see [`verify_with_checkpoints`]):
-/// a clean report certifies mix snapshots are transparent.
-///
-/// # Errors
-///
-/// The first [`Divergence`]; snapshot failures surface as
-/// [`DivergenceKind::Harness`].
-///
-/// # Panics
-///
-/// Panics if `every` is zero.
-pub fn verify_mix_with_checkpoints(
-    programs: &[&Program],
-    config: SimConfig,
-    every: u64,
-) -> Result<Report, Box<Divergence>> {
-    assert!(every > 0, "checkpoint interval must be positive");
-    let fault_bound = config.su_depth;
-    let mut sim = Simulator::try_new_mix(config.clone(), programs)
-        .map_err(|e| harness_divergence(e.to_string()))?;
-    let bases: Vec<u64> = (0..programs.len())
-        .map(|t| sim.thread_segment(t).0)
-        .collect();
-    let mut oracle = MixOracle::new(programs, &bases, fault_bound);
-    let outcome = run_spliced(&mut sim, &mut oracle, every, |snap| {
-        Simulator::restore_mix(config.clone(), programs, snap)
-    })?;
-    conclude_mix(&sim, oracle, outcome)
-}
-
-/// Mix counterpart of [`conclude`]: the final-state diff runs per
-/// thread, against each thread's own reference — its register window,
-/// its memory segment, its retirement count.
-fn conclude_mix(
-    sim: &Simulator<'_>,
-    mut oracle: MixOracle<'_>,
-    outcome: Result<SimStats, SimError>,
-) -> Result<Report, Box<Divergence>> {
-    match outcome {
-        Ok(stats) => {
-            if let Some(d) = oracle.divergence.take() {
-                return Err(d);
-            }
-            let threads = oracle.oracles.len();
-            let window = sim.reg_file().len() / threads;
-            let mut final_state_error = None;
-            for (tid, o) in oracle.oracles.iter().enumerate() {
-                let interp = o.interp();
-                let (base, span) = sim.thread_segment(tid);
-                let lo = (base / WORD_BYTES) as usize;
-                let hi = lo + (span / WORD_BYTES) as usize;
-                if !interp.finished() {
-                    final_state_error = Some(format!("thread {tid}: its reference has not halted"));
-                } else if stats.committed[tid] != interp.retired_counts().iter().sum::<u64>() {
-                    final_state_error = Some(format!(
-                        "thread {tid}: retirement counts differ: sim {}, reference {}",
-                        stats.committed[tid],
-                        interp.retired_counts().iter().sum::<u64>()
-                    ));
-                } else if sim.reg_file()[tid * window..(tid + 1) * window]
-                    != interp.reg_file()[..window]
-                {
-                    final_state_error = Some(format!("thread {tid}: register windows differ"));
-                } else if sim.memory().words()[lo..hi] != *interp.mem_words() {
-                    final_state_error = Some(format!("thread {tid}: memory segments differ"));
-                }
-                if final_state_error.is_some() {
-                    break;
-                }
-            }
-            if let Some(msg) = final_state_error {
-                return Err(Box::new(Divergence {
-                    seqno: oracle.seqno,
-                    cycle: stats.cycles,
-                    block: 0,
-                    tid: 0,
-                    pc: 0,
-                    disasm: String::new(),
-                    kind: DivergenceKind::FinalState(msg),
-                }));
-            }
-            Ok(Report {
-                cycles: stats.cycles,
-                instructions: stats.committed_total(),
-                fault: None,
-            })
-        }
-        Err(SimError::Mem { err, tid, pc }) => {
-            oracle.expect_fault(tid, pc, err);
-            if let Some(d) = oracle.divergence.take() {
-                return Err(d);
-            }
-            debug_assert_eq!(oracle.confirmed_fault, Some((tid, pc)));
-            Ok(Report {
-                cycles: sim.cycle(),
-                instructions: sim.stats().committed.iter().sum(),
-                fault: Some((tid, pc)),
-            })
-        }
-        Err(e) => {
-            if let Some(d) = oracle.divergence.take() {
-                return Err(d);
-            }
-            Err(harness_divergence(e.to_string()))
-        }
+        *sim = Simulator::restore_mix(sim.config().clone(), programs, &snap)
+            .map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
     }
 }
 
@@ -776,9 +636,8 @@ fn harness_divergence(msg: String) -> Box<Divergence> {
     })
 }
 
-/// Shared epilogue of [`verify`] and [`verify_with_checkpoints`]: folds
-/// the run outcome, any recorded divergence, and the final-state diff
-/// into a [`Report`].
+/// Epilogue of every verifier: folds the run outcome, any recorded
+/// divergence, and the final-state diff into a [`Report`].
 fn conclude(
     sim: &Simulator<'_>,
     mut oracle: Oracle<'_>,
@@ -789,22 +648,7 @@ fn conclude(
             if let Some(d) = oracle.divergence.take() {
                 return Err(d);
             }
-            let final_state_error = if !oracle.interp.finished() {
-                Some("sim finished but reference threads have not halted".to_string())
-            } else if stats.committed != oracle.interp.retired_counts() {
-                Some(format!(
-                    "per-thread retirement counts differ: sim {:?}, reference {:?}",
-                    stats.committed,
-                    oracle.interp.retired_counts()
-                ))
-            } else if sim.reg_file() != oracle.interp.reg_file() {
-                Some("final register files differ".to_string())
-            } else if sim.memory().words() != oracle.interp.mem_words() {
-                Some("final memory images differ".to_string())
-            } else {
-                None
-            };
-            if let Some(msg) = final_state_error {
+            if let Some(msg) = oracle.final_state_error(sim, &stats.committed) {
                 return Err(Box::new(Divergence {
                     seqno: oracle.seqno,
                     cycle: stats.cycles,
@@ -894,13 +738,20 @@ mod tests {
     #[test]
     fn checkpointed_runs_verify_and_match_uninterrupted_reports() {
         let p = sum_program();
-        for threads in [1usize, 2, 4] {
+        for threads in [1usize, 2, 4, 8] {
             let config = SimConfig::default().with_threads(threads);
             let plain = verify(&p, config.clone()).unwrap_or_else(|d| panic!("{threads}: {d}"));
+            // A one-program list is the homogeneous run at any thread count.
+            let listed = verify_mix(&[&p], config.clone())
+                .unwrap_or_else(|d| panic!("{threads} as a list: {d}"));
+            assert_eq!(listed, plain, "{threads}: one program is homogeneous");
             // A small prime interval lands snapshots on awkward cycles.
-            let spliced = verify_with_checkpoints(&p, config, 13)
+            let spliced = verify_with_checkpoints(&p, config.clone(), 13)
                 .unwrap_or_else(|d| panic!("{threads} checkpointed: {d}"));
             assert_eq!(spliced, plain, "{threads}: splices must be transparent");
+            let spliced = verify_mix_with_checkpoints(&[&p], config, 13)
+                .unwrap_or_else(|d| panic!("{threads} checkpointed as a list: {d}"));
+            assert_eq!(spliced, plain, "{threads}: list splices are homogeneous");
         }
     }
 
@@ -1057,7 +908,7 @@ mod tests {
         let mut cap = Capture(Vec::new());
         sim.run_with(&mut cap).unwrap();
         let bases = [sim.thread_segment(0).0, sim.thread_segment(1).0];
-        let mut o = MixOracle::new(&[&a, &b], &bases, 8);
+        let mut o = Oracle::new(&[&a, &b], &bases, 8);
         let mut corrupted = false;
         for r in &cap.0 {
             let mut r = *r;
@@ -1072,6 +923,34 @@ mod tests {
         let d = o.divergence().expect("aliased store detected");
         assert_eq!(d.tid, 1, "divergence names the corrupted thread");
         assert!(matches!(d.kind, DivergenceKind::StoreAddr { .. }));
+    }
+
+    #[test]
+    fn final_state_check_compares_each_reference_with_its_threads() {
+        // Withholding thread 1's `halt` from the oracle leaves the
+        // reference that runs thread 1 unhalted; a mix names the thread.
+        struct SkipHalt<'o, 'p>(&'o mut Oracle<'p>);
+        impl Observer for SkipHalt<'_, '_> {
+            fn retired(&mut self, r: &Retirement) {
+                if r.tid != 1 || r.op() != Opcode::Halt {
+                    self.0.retired(r);
+                }
+            }
+        }
+        let a = sum_program();
+        let b = blur_like_program();
+        let config = SimConfig::default().with_threads(2);
+        for (programs, want) in [
+            (&[&a][..], "the reference has not halted"),
+            (&[&a, &b][..], "thread 1: the reference has not halted"),
+        ] {
+            let mut sim = Simulator::try_new_mix(config.clone(), programs).unwrap();
+            let bases = [sim.thread_segment(0).0, sim.thread_segment(1).0];
+            let mut oracle = Oracle::new(programs, &bases, 8);
+            let outcome = sim.run_with(&mut SkipHalt(&mut oracle));
+            let d = conclude(&sim, oracle, outcome).expect_err("thread 1 never halted");
+            assert_eq!(d.kind, DivergenceKind::FinalState(want.into()));
+        }
     }
 
     /// Feeding the oracle a corrupted stream by hand proves each check
@@ -1102,7 +981,7 @@ mod tests {
         };
 
         // Wrong pc: the reference is at the entry, stream claims pc 1.
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(&[&p], &[0], 8);
         o.retired(&event(1, 5));
         assert!(matches!(
             o.divergence().unwrap().kind,
@@ -1110,7 +989,7 @@ mod tests {
         ));
 
         // Wrong dest value: the `addi` writes 5, stream claims 6.
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(&[&p], &[0], 8);
         o.retired(&event(0, 0)); // lui v, 0 — correct
         assert!(o.divergence().is_none());
         o.retired(&event(1, 6));
@@ -1126,7 +1005,7 @@ mod tests {
         assert!(d.to_string().contains("dest"));
 
         // Missing fault: stream claims a fault the reference won't raise.
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(&[&p], &[0], 8);
         let mut e = event(0, 0);
         e.dest = None;
         e.fault = Some(MemError::OutOfBounds {
@@ -1161,7 +1040,7 @@ mod tests {
         }
         let mut cap = Capture(Vec::new());
         sim.run_with(&mut cap).unwrap();
-        let mut o = Oracle::new(&p, 1, 8);
+        let mut o = Oracle::new(&[&p], &[0], 8);
         for r in &cap.0 {
             let mut r = *r;
             if r.op() == Opcode::Sd {

@@ -76,11 +76,19 @@ fn sigkill_mid_grid_then_restart_resubmit_completes_byte_identically() {
 
     // SIGKILL as soon as the store shows progress (some cells finished,
     // the rest queued or in flight) — no notice, no flushing, exactly
-    // what a crashed or OOM-killed worker box looks like.
+    // what a crashed or OOM-killed worker box looks like. Only renamed
+    // `.cell` records count as finished: a cell's tmp file appears in the
+    // same directory before its record is complete.
     let cells = store.join("cells");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let finished = fs::read_dir(&cells).map(|d| d.count()).unwrap_or(0);
+        let finished = fs::read_dir(&cells).map_or(0, |d| {
+            d.filter(|e| {
+                e.as_ref()
+                    .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "cell"))
+            })
+            .count()
+        });
         if finished >= 1 {
             break;
         }

@@ -59,14 +59,6 @@ impl CpiBreakdown {
         self.cycles as f64 / self.committed as f64
     }
 
-    /// Cause contribution to CPI: `share × width × cycles / committed` —
-    /// the per-cause stack summand, so the per-cause values sum to
-    /// `width × cpi`.
-    #[must_use]
-    pub fn cpi_component(&self, cause: SlotCause) -> f64 {
-        self.slot_count(cause) as f64 / self.committed as f64
-    }
-
     /// Multi-line text table of the stack, causes in declaration order,
     /// zero rows skipped.
     #[must_use]

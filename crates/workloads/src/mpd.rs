@@ -83,12 +83,6 @@ pub fn mpd(scale: Scale) -> Workload {
     )
 }
 
-/// Exposes the synthetic acceleration table for tests and docs.
-#[must_use]
-pub fn reference_table() -> Vec<f64> {
-    (0..CELLS).map(|i| synth(i + 83) * 0.1).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

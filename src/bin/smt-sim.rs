@@ -4,13 +4,14 @@
 //! ```text
 //! cargo run --release --bin smt-sim -- --workload matrix --threads 4
 //! cargo run --release --bin smt-sim -- --workload ll5 --threads 6 \
-//!     --fetch cswitch --commit lowest --cache direct --su 64 --scale test
+//!     --fetch cs --commit lowest --cache dm --su 64 --scale test
 //! cargo run --release --bin smt-sim -- --list
 //! ```
 
 use std::process::ExitCode;
 
 use smt_superscalar::core::{CommitPolicy, FetchPolicy, PredictorKind, SimConfig, Simulator};
+use smt_superscalar::experiments::sweep::lookup;
 use smt_superscalar::mem::CacheKind;
 use smt_superscalar::uarch::FuConfig;
 use smt_superscalar::workloads::{workload, Scale, WorkloadKind};
@@ -28,12 +29,12 @@ fn usage() -> &'static str {
      options:\n\
        --workload <name>    ll1|ll2|ll3|ll5|ll7|ll12|laplace|mpd|matrix|sieve|water\n\
        --threads <1..6>     resident threads (default 4)\n\
-       --fetch <policy>     truerr|maskedrr|cswitch|icount (default truerr)\n\
-       --predictor <kind>   shared|gshare|partitioned (default shared)\n\
+       --fetch <policy>     trr|mrr|cs|ic (default trr)\n\
+       --predictor <kind>   btb|gsh|pbtb (default btb)\n\
        --fetch-threads <n>  fetch ports, distinct threads per cycle (default 1)\n\
        --fetch-width <n>    instructions per fetch block (default 4)\n\
        --commit <policy>    flexible|lowest (default flexible)\n\
-       --cache <kind>       assoc|direct (default assoc)\n\
+       --cache <kind>       sa|dm (default sa)\n\
        --su <entries>       scheduling-unit depth (default 32)\n\
        --fu <cfg>           default|enhanced (default default)\n\
        --scale <scale>      paper|test (default paper)\n\
@@ -70,21 +71,14 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 opts.config = opts.config.with_threads(n);
             }
             "--fetch" => {
-                opts.config = opts.config.with_fetch_policy(match value("--fetch")? {
-                    "truerr" => FetchPolicy::TrueRoundRobin,
-                    "maskedrr" => FetchPolicy::MaskedRoundRobin,
-                    "cswitch" => FetchPolicy::ConditionalSwitch,
-                    "icount" => FetchPolicy::Icount,
-                    other => return Err(format!("unknown fetch policy `{other}`")),
-                });
+                let levels = FetchPolicy::ALL.map(|k| (k.abbrev(), k));
+                let policy = lookup("fetch policy", levels, value("--fetch")?)?;
+                opts.config = opts.config.with_fetch_policy(policy);
             }
             "--predictor" => {
-                opts.config = opts.config.with_predictor(match value("--predictor")? {
-                    "shared" => PredictorKind::SharedBtb,
-                    "gshare" => PredictorKind::Gshare,
-                    "partitioned" => PredictorKind::PartitionedBtb,
-                    other => return Err(format!("unknown predictor `{other}`")),
-                });
+                let levels = PredictorKind::ALL.map(|k| (k.abbrev(), k));
+                let predictor = lookup("predictor", levels, value("--predictor")?)?;
+                opts.config = opts.config.with_predictor(predictor);
             }
             "--fetch-threads" => {
                 let n: usize = value("--fetch-threads")?
@@ -106,11 +100,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 });
             }
             "--cache" => {
-                opts.config = opts.config.with_cache_kind(match value("--cache")? {
-                    "assoc" => CacheKind::SetAssociative,
-                    "direct" => CacheKind::DirectMapped,
-                    other => return Err(format!("unknown cache kind `{other}`")),
-                });
+                let levels = CacheKind::ALL.map(|k| (k.abbrev(), k));
+                let cache = lookup("cache kind", levels, value("--cache")?)?;
+                opts.config = opts.config.with_cache_kind(cache);
             }
             "--su" => {
                 let n: usize = value("--su")?.parse().map_err(|e| format!("--su: {e}"))?;
@@ -224,4 +216,36 @@ fn main() -> ExitCode {
         println!("result check:         PASSED");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_with(flag: &str, level: &str) -> Result<Options, String> {
+        let args = ["--workload", "matrix", flag, level].map(String::from);
+        parse(&args)
+    }
+
+    #[test]
+    fn axis_levels_parse_by_their_table_spelling() {
+        for k in FetchPolicy::ALL {
+            let opts = parse_with("--fetch", k.abbrev()).expect("a table spelling parses");
+            assert_eq!(opts.config.fetch_policy, k);
+        }
+        for k in PredictorKind::ALL {
+            let opts = parse_with("--predictor", k.abbrev()).expect("a table spelling parses");
+            assert_eq!(opts.config.predictor, k);
+        }
+        for k in CacheKind::ALL {
+            let opts = parse_with("--cache", k.abbrev()).expect("a table spelling parses");
+            assert_eq!(opts.config.cache_kind, k);
+        }
+        for flag in ["--fetch", "--predictor", "--cache"] {
+            let err = parse_with(flag, "bogus")
+                .err()
+                .expect("an unknown level fails");
+            assert!(err.contains("\"bogus\""), "{flag}: {err}");
+        }
+    }
 }

@@ -8,9 +8,9 @@
 //!   number of allocation events — it builds each component once;
 //! * well-checksummed garbage never panics: payload bytes are overwritten
 //!   and the FNV-1a checksum re-sealed, so every mutation reaches the
-//!   component decoders, and `Snapshot::from_bytes` + `Simulator::restore`
-//!   must return a typed error or a machine that steps 300 cycles without
-//!   panicking.
+//!   component decoders, and `Snapshot::from_bytes` +
+//!   `Simulator::restore_mix` must return a typed error or a machine that
+//!   steps 300 cycles without panicking.
 //!
 //! This lives in its own integration-test binary because
 //! `#[global_allocator]` is process-wide.
@@ -187,14 +187,10 @@ fn mutated_snapshots_fail_closed_or_run() {
             vec![generated(seed, threads)]
         };
         let refs: Vec<&Program> = programs.iter().collect();
-        let wire = if mix {
-            snapshot_bytes(
-                Simulator::try_new_mix(config.clone(), &refs).unwrap(),
-                cycles,
-            )
-        } else {
-            snapshot_bytes(Simulator::new(config.clone(), refs[0]), cycles)
-        };
+        let wire = snapshot_bytes(
+            Simulator::try_new_mix(config.clone(), &refs).unwrap(),
+            cycles,
+        );
         let payload_len = Snapshot::from_bytes(&wire)
             .expect("round trip")
             .payload
@@ -208,11 +204,7 @@ fn mutated_snapshots_fail_closed_or_run() {
             );
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 exercise(&bytes, |snap| {
-                    if mix {
-                        Simulator::restore_mix(config.clone(), &refs, snap).ok()
-                    } else {
-                        Simulator::restore(config.clone(), refs[0], snap).ok()
-                    }
+                    Simulator::restore_mix(config.clone(), &refs, snap).ok()
                 })
             }));
             match outcome {
