@@ -75,7 +75,7 @@ pub use smt_trace as trace;
 pub use commit::{Observer, Retirement};
 pub use config::{CommitPolicy, ConfigError, FetchPolicy, RenamingMode, SimConfig};
 pub use error::SimError;
-pub use sim::{config_identity, program_identity, Simulator};
+pub use sim::{config_identity, Simulator};
 pub use smt_checkpoint::Snapshot;
 pub use smt_uarch::PredictorKind;
 pub use stats::{BranchStats, SimStats};

@@ -58,13 +58,10 @@ pub fn config_identity(config: &SimConfig) -> u64 {
     smt_checkpoint::stable_hash(config)
 }
 
-/// Stable identity hash of a program — its text, entry point, and data
-/// image. Labels and other assembler conveniences do not contribute:
-/// two builds that produce the same machine program hash equally.
-#[must_use]
-pub fn program_identity(program: &Program) -> u64 {
-    smt_checkpoint::stable_hash(&(program.text(), program.entry(), program.data()))
-}
+/// Initial capacity of [`Simulator::checkpoint`]'s encode buffer. A
+/// default-configuration payload is 5–8 KB; a machine with a larger
+/// predictor, cache or memory delta regrows the buffer.
+const CHECKPOINT_CAPACITY: usize = 16 << 10;
 
 /// The simulator. Owns all machine state for one run of one program.
 ///
@@ -89,6 +86,9 @@ pub fn program_identity(program: &Program) -> u64 {
 #[derive(Clone, Debug)]
 pub struct Simulator<'p> {
     config: SimConfig,
+    /// [`config_identity`] of `config`, hashed once when the machine is
+    /// built or restored.
+    config_id: u64,
     /// One program per thread for a heterogeneous mix; a single shared
     /// entry for the homogeneous (SPMD) case.
     programs: Vec<&'p Program>,
@@ -214,6 +214,7 @@ impl<'p> Simulator<'p> {
             .map(|tid| programs[if multiprogram { tid } else { 0 }].entry())
             .collect();
         Ok(Simulator {
+            config_id: config_identity(&config),
             su: SchedulingUnit::new(config.su_blocks(), config.block_size),
             iu: InstructionUnit::with_entries(
                 config.fetch_policy,
@@ -1494,7 +1495,7 @@ impl<'p> Simulator<'p> {
     /// recomputed on restore.
     #[must_use]
     pub fn checkpoint(&self) -> Snapshot {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(CHECKPOINT_CAPACITY);
         w.section(sec::CORE);
         w.put_u64(self.cycle);
         w.put_u64(self.next_uid);
@@ -1535,7 +1536,7 @@ impl<'p> Simulator<'p> {
         w.section(sec::STATS);
         save_stats(&self.stats, &mut w);
         Snapshot {
-            config_hash: config_identity(&self.config),
+            config_hash: self.config_id,
             program_hashes: identities(&self.programs),
             cycle: self.cycle,
             warm: None,
@@ -1627,7 +1628,7 @@ impl<'p> Simulator<'p> {
         w.section(wsec::MEMORY);
         self.mem.save_delta(&baseline_words(&self.programs), &mut w);
         Ok(Snapshot {
-            config_hash: config_identity(&self.config),
+            config_hash: self.config_id,
             program_hashes: identities(&self.programs),
             cycle: self.cycle,
             warm: Some(smt_checkpoint::WarmIdentity {
@@ -1712,11 +1713,11 @@ impl<'p> Simulator<'p> {
                 w.warm_hash
             )));
         }
-        let want = identities(&self.programs);
-        if snapshot.program_hashes != want {
+        if !same_programs(snapshot, &self.programs) {
             return Err(SimError::Snapshot(format!(
-                "warm snapshot was taken of program(s) {:#018x?}, not {want:#018x?}",
-                snapshot.program_hashes
+                "warm snapshot was taken of program(s) {:#018x?}, not {:#018x?}",
+                snapshot.program_hashes,
+                identities(&self.programs)
             )));
         }
         Ok(())
@@ -1807,23 +1808,23 @@ impl<'p> Simulator<'p> {
                 "warm snapshot holds architectural state only; use fork_warm_mix()".into(),
             ));
         }
-        let want = config_identity(&config);
-        if snapshot.config_hash != want {
+        let config_id = config_identity(&config);
+        if snapshot.config_hash != config_id {
             return Err(SimError::Snapshot(format!(
-                "snapshot was taken under config {:#018x}, not {want:#018x}",
+                "snapshot was taken under config {:#018x}, not {config_id:#018x}",
                 snapshot.config_hash
             )));
         }
         let programs = mix_programs(&config, programs)?;
-        let want = identities(&programs);
-        if snapshot.program_hashes != want {
+        if !same_programs(snapshot, &programs) {
             return Err(SimError::Snapshot(format!(
-                "snapshot was taken of program(s) {:#018x?}, not {want:#018x?}",
-                snapshot.program_hashes
+                "snapshot was taken of program(s) {:#018x?}, not {:#018x?}",
+                snapshot.program_hashes,
+                identities(&programs)
             )));
         }
         check_fit(&config, &programs)?;
-        Self::from_snapshot(config, programs, snapshot)
+        Self::from_snapshot(config, config_id, programs, snapshot)
             .map_err(|e| SimError::Snapshot(e.to_string()))
     }
 
@@ -1833,9 +1834,10 @@ impl<'p> Simulator<'p> {
     /// the restored window), the tag allocator's resident set, and the
     /// scheduling unit's own indexes (rebuilt inside
     /// [`SchedulingUnit::restore`]). The caller has checked the
-    /// identities and [`check_fit`].
+    /// identities (`config_id` is `config`'s) and [`check_fit`].
     fn from_snapshot(
         config: SimConfig,
+        config_id: u64,
         programs: Vec<&'p Program>,
         snapshot: &Snapshot,
     ) -> Result<Self, DecodeError> {
@@ -1993,6 +1995,7 @@ impl<'p> Simulator<'p> {
             stats,
             cycle,
             config,
+            config_id,
             programs,
             multiprogram,
             mem_base,
@@ -2110,16 +2113,31 @@ fn mix_programs<'p>(
 /// machine's program list (one for the homogeneous case, one per thread
 /// for a mix).
 fn identities(programs: &[&Program]) -> Vec<u64> {
-    programs.iter().map(|p| program_identity(p)).collect()
+    programs.iter().map(|p| p.identity()).collect()
+}
+
+/// Whether `snapshot`'s identity vector is [`identities`]`(programs)`,
+/// position by position.
+fn same_programs(snapshot: &Snapshot, programs: &[&Program]) -> bool {
+    snapshot
+        .program_hashes
+        .iter()
+        .copied()
+        .eq(programs.iter().map(|p| p.identity()))
 }
 
 /// The initial flat-memory contents — the program images, concatenated
-/// for a mix — which is also the snapshot delta baseline.
+/// for a mix — which is also the snapshot delta baseline. One
+/// allocation, however many programs.
 fn baseline_words(programs: &[&Program]) -> Vec<u64> {
-    match programs {
-        [p] => p.data().to_words(),
-        _ => programs.iter().flat_map(|p| p.data().to_words()).collect(),
+    let mut words = vec![0; programs.iter().map(|p| p.data().word_len()).sum()];
+    let mut at = 0;
+    for p in programs {
+        let n = p.data().word_len();
+        p.data().materialize_into(&mut words[at..at + n]);
+        at += n;
     }
+    words
 }
 
 /// Each thread's data segment of the flat memory, as `(byte offsets,

@@ -41,9 +41,7 @@ use std::{fmt, fs};
 
 use smt_checkpoint::{Reader, Writer};
 use smt_core::config::{defaults, warm};
-use smt_core::{
-    program_identity, FetchPolicy, PredictorKind, SimConfig, SimError, Simulator, Snapshot,
-};
+use smt_core::{FetchPolicy, PredictorKind, SimConfig, SimError, Simulator, Snapshot};
 use smt_isa::Program;
 use smt_mem::CacheKind;
 use smt_search::{Axis, Evaluation, Objectives, SearchOutcome, SearchParams};
@@ -318,7 +316,7 @@ fn load_warm(path: &Path, code_version: &str, warmup: u64) -> Option<Snapshot> {
 /// must carry (mirrors the simulator's own identity shape: one element
 /// for a uniform machine, one per thread for a mix).
 fn expected_identities(programs: &[Program]) -> Vec<u64> {
-    programs.iter().map(program_identity).collect()
+    programs.iter().map(Program::identity).collect()
 }
 
 /// Stateful evaluator over one search space: resolves points to cell
@@ -641,8 +639,10 @@ pub fn run_exhaustive(
 
 #[cfg(test)]
 mod tests {
+    use std::hash::Hasher as _;
+
     use super::*;
-    use smt_workloads::WorkloadKind;
+    use smt_workloads::{workload, Scale, WorkloadKind};
 
     fn space() -> SearchSpace {
         SearchSpace::smoke(WorkloadKind::Sieve.into(), 2)
@@ -743,6 +743,33 @@ mod tests {
         assert!(load_warm(&path, "v", 10).is_none(), "absent file");
         fs::write(&path, b"garbage").unwrap();
         assert!(load_warm(&path, "v", 10).is_none(), "unparseable file");
+
+        // A well-framed file of the current format loads; the same file as
+        // an older build wrote it — v5's version word, sealed with v5's
+        // FNV-1a — is absent, so the warm snapshot is regenerated.
+        let program = workload(WorkloadKind::Sieve, Scale::Test)
+            .build(2)
+            .expect("kernel fits");
+        let snap = make_warm(&[program], 2, 10).expect("warm snapshot");
+        save_warm(&path, "v", 10, &snap).unwrap();
+        assert_eq!(
+            load_warm(&path, "v", 10),
+            Some(snap.clone()),
+            "current file"
+        );
+        let mut v5 = snap.to_bytes();
+        v5[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let body = v5.len() - 8;
+        let mut fnv = smt_checkpoint::StableHasher::default();
+        fnv.write(&v5[..body]);
+        let sum = fnv.finish();
+        v5[body..].copy_from_slice(&sum.to_le_bytes());
+        let mut w = Writer::new();
+        w.put_bytes(b"v");
+        w.put_u64(10);
+        w.put_bytes(&v5);
+        fs::write(&path, w.into_bytes()).unwrap();
+        assert!(load_warm(&path, "v", 10).is_none(), "retired v5 file");
         let _ = fs::remove_dir_all(&dir);
     }
 }

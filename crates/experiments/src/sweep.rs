@@ -39,8 +39,7 @@ use std::{fmt, fs};
 use smt_checkpoint::{Reader, Writer};
 use smt_core::config::defaults;
 use smt_core::{
-    config_identity, program_identity, FetchPolicy, PredictorKind, SimConfig, SimError, SimStats,
-    Simulator, Snapshot,
+    config_identity, FetchPolicy, PredictorKind, SimConfig, SimError, SimStats, Simulator, Snapshot,
 };
 use smt_corpus::Corpus;
 use smt_isa::Program;
@@ -595,7 +594,7 @@ pub struct CellRecord {
     pub code_version: String,
     /// [`config_identity`] of the lowered configuration.
     pub config_hash: u64,
-    /// [`program_identity`] of the built kernel; 0 when lowering failed.
+    /// [`Program::identity`] of the built kernel; 0 when lowering failed.
     pub program_hash: u64,
     /// Terminal state.
     pub status: CellStatus,
@@ -1073,9 +1072,9 @@ impl Scheduler {
             // mixes existed (existing caches stay valid); a mix hashes
             // the ordered vector of per-program identities.
             Ok(ps) => match ps.as_slice() {
-                [p] => program_identity(p),
+                [p] => p.identity(),
                 ps => smt_checkpoint::stable_hash(
-                    &ps.iter().map(program_identity).collect::<Vec<u64>>(),
+                    &ps.iter().map(Program::identity).collect::<Vec<u64>>(),
                 ),
             },
             Err(_) => 0,

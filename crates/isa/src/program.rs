@@ -33,8 +33,28 @@ impl DataImage {
     /// Panics if an initializer lies outside `size` or is unaligned.
     #[must_use]
     pub fn to_words(&self) -> Vec<u64> {
-        let n = (self.size / WORD_BYTES) as usize;
-        let mut mem = vec![0u64; n];
+        let mut mem = vec![0u64; self.word_len()];
+        self.materialize_into(&mut mem);
+        mem
+    }
+
+    /// Number of 64-bit words [`to_words`](Self::to_words) produces.
+    #[must_use]
+    pub fn word_len(&self) -> usize {
+        (self.size / WORD_BYTES) as usize
+    }
+
+    /// Writes the initializers into `mem`, a zero-filled slice of
+    /// [`word_len`](Self::word_len) words — [`to_words`](Self::to_words)
+    /// without the allocation, so several images can share one buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` is not `word_len` words long, or an initializer lies
+    /// outside `size` or is unaligned.
+    pub fn materialize_into(&self, mem: &mut [u64]) {
+        let n = self.word_len();
+        assert_eq!(mem.len(), n, "image of {n} words");
         for &(addr, value) in &self.words {
             assert_eq!(
                 addr % WORD_BYTES,
@@ -49,7 +69,6 @@ impl DataImage {
             );
             mem[idx] = value;
         }
-        mem
     }
 }
 
@@ -59,6 +78,9 @@ impl DataImage {
 /// model of the paper means every thread executes the *same* text on a
 /// different data partition (selected via the `tid` register seeded at
 /// reset).
+///
+/// A program is immutable once built, so its [identity](Self::identity)
+/// is hashed once, at construction.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Program {
     text: Vec<Instruction>,
@@ -66,6 +88,9 @@ pub struct Program {
     entry: usize,
     data: DataImage,
     labels: BTreeMap<String, usize>,
+    /// Stable hash of `(text, entry, data)`; a function of those fields,
+    /// so the derived equality means what it did without it.
+    identity: u64,
 }
 
 impl Program {
@@ -85,12 +110,14 @@ impl Program {
             text.len()
         );
         let decoded = predecode::predecode(&text);
+        let identity = smt_checkpoint::stable_hash(&(text.as_slice(), entry, &data));
         Program {
             text,
             decoded,
             entry,
             data,
             labels: BTreeMap::new(),
+            identity,
         }
     }
 
@@ -135,6 +162,15 @@ impl Program {
     #[must_use]
     pub fn data(&self) -> &DataImage {
         &self.data
+    }
+
+    /// Stable identity hash of the program — its text, entry point, and
+    /// data image — as carried in snapshot headers and cell-store keys.
+    /// Labels and other assembler conveniences do not contribute: two
+    /// builds that produce the same machine program hash equally.
+    #[must_use]
+    pub fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// Debug labels attached by the builder or assembler.
@@ -291,6 +327,20 @@ mod tests {
         let words = p.encode_text().unwrap();
         let back = Program::decode_text(&words, p.entry(), p.data().clone()).unwrap();
         assert_eq!(back.text(), p.text());
+    }
+
+    #[test]
+    fn identity_hashes_text_entry_and_data_only() {
+        let p = tiny();
+        assert_eq!(
+            p.identity(),
+            smt_checkpoint::stable_hash(&(p.text(), p.entry(), p.data()))
+        );
+        let mut labels = BTreeMap::new();
+        labels.insert("loop".to_string(), 1);
+        assert_eq!(p.clone().with_labels(labels).identity(), p.identity());
+        let moved = Program::new(p.text().to_vec(), 1, p.data().clone());
+        assert_ne!(moved.identity(), p.identity());
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! with "memory allocation failed", which fails this binary):
 //!
 //! * one `Simulator::restore` makes a small, thread-count-independent
-//!   number of allocation events — it builds each component once;
+//!   number of allocation events — it builds each component once — and
+//!   one `checkpoint` + `to_bytes` makes at most four: the encode buffer,
+//!   the identity vector, the memory-delta baseline and the wire buffer;
+//! * every single-bit flip of a real snapshot is a typed decode error;
 //! * well-checksummed garbage never panics: payload bytes are overwritten
-//!   and the FNV-1a checksum re-sealed, so every mutation reaches the
+//!   and the checksum re-sealed, so every mutation reaches the
 //!   component decoders, and `Snapshot::from_bytes` +
 //!   `Simulator::restore_mix` must return a typed error or a machine that
 //!   steps 300 cycles without panicking.
@@ -19,6 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use smt_checkpoint::DecodeError;
 use smt_superscalar::core::{FetchPolicy, PredictorKind, SimConfig, Simulator, Snapshot};
 use smt_superscalar::isa::Program;
 use smt_testkit::progen::{GenConfig, MixPlan, Plan};
@@ -72,6 +76,11 @@ static ALLOCATOR: GuardedAlloc = GuardedAlloc;
 /// count and under every predictor family.
 const RESTORE_ALLOC_BOUND: u64 = 100;
 
+/// Allocation events one `checkpoint()` + `to_bytes()` may make together,
+/// homogeneous or mix, at any thread count and under every predictor
+/// family: one per buffer.
+const ENCODE_ALLOC_BOUND: u64 = 4;
+
 /// A generated fuzz program for `threads` threads.
 fn generated(seed: u64, threads: usize) -> Program {
     Plan::generate(seed, &GenConfig::default())
@@ -119,6 +128,86 @@ fn restore_makes_a_bounded_number_of_allocations() {
     );
 }
 
+#[test]
+fn checkpoint_and_to_bytes_allocate_once_per_buffer() {
+    let mut worst = 0;
+    for threads in [1, 2, 4, 8] {
+        let uniform = vec![generated(0xa110c, threads)];
+        let mix = (threads > 1).then(|| {
+            MixPlan::generate(0xa110c, threads, &GenConfig::default())
+                .build_full()
+                .expect("generated mixes fit")
+        });
+        for programs in std::iter::once(uniform).chain(mix) {
+            let refs: Vec<&Program> = programs.iter().collect();
+            let shape = if refs.len() > 1 { "mix" } else { "homogeneous" };
+            for predictor in PredictorKind::ALL {
+                let config = SimConfig::default()
+                    .with_threads(threads)
+                    .with_predictor(predictor);
+                let mut sim = Simulator::try_new_mix(config, &refs).expect("fits");
+                while sim.cycle() < 100 || sim.is_quiescent() {
+                    assert!(!sim.finished(), "blocks must be in flight");
+                    sim.step().expect("prefix steps complete");
+                }
+                let before = ALLOCS.with(Cell::get);
+                let wire = sim.checkpoint().to_bytes();
+                let n = ALLOCS.with(Cell::get) - before;
+                drop(wire);
+                println!("{threads} threads, {shape}, {predictor}: {n} allocation events");
+                worst = worst.max(n);
+            }
+        }
+    }
+    assert!(
+        worst <= ENCODE_ALLOC_BOUND,
+        "a checkpoint + to_bytes made {worst} allocation events (bound {ENCODE_ALLOC_BOUND})"
+    );
+}
+
+#[test]
+fn every_single_bit_flip_is_a_typed_decode_error() {
+    let program = generated(0xb17f, 8);
+    let wire = snapshot_bytes(
+        Simulator::new(SimConfig::default().with_threads(8), &program),
+        150,
+    );
+    Snapshot::from_bytes(&wire).expect("the unflipped snapshot decodes");
+    let mut flipped = wire.clone();
+    let mut caught = [0u64; 6];
+    for bit in 0..wire.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let kind = match Snapshot::from_bytes(&flipped) {
+            Ok(_) => panic!(
+                "flipping bit {bit} of {} left a snapshot that decodes",
+                wire.len() * 8
+            ),
+            Err(DecodeError::Checksum { .. }) => 0,
+            Err(DecodeError::Version { .. }) => 1,
+            Err(DecodeError::BadMagic) => 2,
+            Err(DecodeError::Truncated { .. }) => 3,
+            Err(DecodeError::Malformed(_)) => 4,
+            Err(DecodeError::Section { .. }) => 5,
+        };
+        caught[kind] += 1;
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    println!(
+        "{} flips: checksum {}, version {}, magic {}, truncated {}, malformed {}, section {}",
+        wire.len() * 8,
+        caught[0],
+        caught[1],
+        caught[2],
+        caught[3],
+        caught[4],
+        caught[5]
+    );
+    assert!(
+        wire.len() * 8 > 40_000,
+        "a fuzz-shaped snapshot has tens of thousands of bits"
+    );
+}
+
 /// Overwrites one to four payload bytes of `wire` and re-seals the
 /// checksum, so the mutation passes the integrity check and reaches the
 /// component decoders. `payload_len` is the decoded payload's length.
@@ -135,7 +224,7 @@ fn mutate(wire: &[u8], payload_len: usize, rng: &mut Rng) -> Vec<u8> {
             _ => rng.next_u64() as u8,
         };
     }
-    let sum = smt_checkpoint::fnv1a(&bytes[..end]);
+    let sum = smt_checkpoint::checksum(&bytes[..end]);
     bytes[end..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }

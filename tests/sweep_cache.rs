@@ -8,9 +8,10 @@
 //! every time.
 
 use std::fs;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
-use smt_checkpoint::{fnv1a, Writer};
+use smt_checkpoint::{checksum, StableHasher, Writer};
 use smt_experiments::sweep::{plant_checkpoint, run_sweep, CellSpec, Grid, SweepOptions};
 use smt_superscalar::core::{FetchPolicy, PredictorKind, Simulator};
 use smt_superscalar::mem::CacheKind;
@@ -186,26 +187,40 @@ fn mid_flight_checkpoints_resume_instead_of_restarting() {
 
     // Under the current code version, a snapshot whose header names a
     // retired format (v3, as older builds wrote) is not decoded even with
-    // a valid checksum: the cell restarts and still matches.
-    let mut stale = sim.checkpoint().to_bytes();
-    stale[8..12].copy_from_slice(&3u32.to_le_bytes());
-    let body = stale.len() - 8;
-    let sum = fnv1a(&stale[..body]);
-    stale[body..].copy_from_slice(&sum.to_le_bytes());
-    let mut file = Writer::new();
-    file.put_bytes(b"test-v1");
-    file.put_bytes(&stale);
-    let dir = scratch("resume-retired-format");
-    fs::create_dir_all(dir.join("ckpt")).expect("create ckpt dir");
-    fs::write(
-        dir.join("ckpt").join("sieve-trr-t4-su32-sa.ckpt"),
-        file.into_bytes(),
-    )
-    .expect("plant snapshot");
-    let summary = run_sweep(&grid, &dir, &opts()).expect("sweep runs");
-    assert_eq!(summary.resumed, 0, "a retired-format snapshot is ignored");
-    assert_eq!(summary.executed, 1);
-    assert_eq!(results(&dir), reference);
+    // a valid checksum: the cell restarts and still matches. So is a
+    // genuine v5 file — v5's version word, sealed with v5's FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = StableHasher::default();
+        h.write(bytes);
+        h.finish()
+    }
+    for version in [3u32, 5] {
+        let mut stale = sim.checkpoint().to_bytes();
+        stale[8..12].copy_from_slice(&version.to_le_bytes());
+        let body = stale.len() - 8;
+        let sum = match version {
+            5 => fnv1a(&stale[..body]),
+            _ => checksum(&stale[..body]),
+        };
+        stale[body..].copy_from_slice(&sum.to_le_bytes());
+        let mut file = Writer::new();
+        file.put_bytes(b"test-v1");
+        file.put_bytes(&stale);
+        let dir = scratch(&format!("resume-retired-format-v{version}"));
+        fs::create_dir_all(dir.join("ckpt")).expect("create ckpt dir");
+        fs::write(
+            dir.join("ckpt").join("sieve-trr-t4-su32-sa.ckpt"),
+            file.into_bytes(),
+        )
+        .expect("plant snapshot");
+        let summary = run_sweep(&grid, &dir, &opts()).expect("sweep runs");
+        assert_eq!(
+            summary.resumed, 0,
+            "a retired-format (v{version}) snapshot is ignored"
+        );
+        assert_eq!(summary.executed, 1);
+        assert_eq!(results(&dir), reference);
+    }
 }
 
 #[test]
