@@ -16,9 +16,12 @@
 //!   (`<case>/mcycles_per_s`, `<case>/best_ms`, `<case>/cycles`), e.g. for
 //!   the repo-root `BENCH_sim_throughput.json` trajectory file or a CI
 //!   artifact.
-//! * `<substring>` — any other non-flag argument filters cases by name,
+//! * `<substring>` — one positional argument filters cases by name,
 //!   criterion-style (`simulate/4thr/Matrix` runs just that case; handy
 //!   under a profiler).
+//!
+//! Any other flag is refused with exit code 2 (`cargo bench` itself passes
+//! `--bench`, which is accepted).
 //!
 //! The `checkpoint_splice` group times the calls of a checkpoint splice
 //! (`<case>/median_us`, the median per-call time over repeated samples)
@@ -26,9 +29,11 @@
 //! all four in order as the fuzz oracle splices.
 
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use smt_core::{FetchPolicy, SimConfig, Simulator, Snapshot};
+use smt_experiments::cli::{self, Args, Flags};
 use smt_experiments::{json, Cell};
 use smt_isa::builder::ProgramBuilder;
 use smt_isa::Program;
@@ -317,13 +322,19 @@ fn bench_interpreter(out: &mut Vec<CaseResult>, opts: &Opts) {
     });
 }
 
-fn main() {
-    // `cargo bench` passes `--bench` (and possibly filters); pick out only
-    // the flags this harness understands.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let json_at = argv.iter().position(|a| a == "--json");
-    let json_path = json_at.and_then(|i| argv.get(i + 1)).cloned();
+const FLAGS: Flags = Flags {
+    values: "--json",
+    repeated: "",
+    switches: "--smoke --bench",
+    positionals: 1,
+};
+
+fn main() -> ExitCode {
+    cli::main("sim_throughput", &FLAGS, run)
+}
+
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let smoke = args.switch("--smoke");
     let mut opts = if smoke { SMOKE } else { FULL };
     // Profiling hooks: stretch the measurement window without recompiling
     // (e.g. BENCH_WINDOW_MS=10000 BENCH_MAX_ITERS=100000 under gprofng).
@@ -333,13 +344,7 @@ fn main() {
     if let Ok(n) = std::env::var("BENCH_MAX_ITERS") {
         opts.max_iters = n.parse().expect("BENCH_MAX_ITERS: integer");
     }
-    // Any remaining non-flag argument is a case-name filter. `cargo bench`
-    // itself may pass `--bench`; skip every `--flag` and the --json value.
-    opts.filter = argv
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && json_at != Some(i.wrapping_sub(1)))
-        .map(|(_, a)| a.clone());
+    opts.filter = args.positionals().first().cloned();
 
     let mut results = Vec::new();
     bench_workload_simulation(&mut results, &opts);
@@ -350,7 +355,7 @@ fn main() {
     let mut calls = Vec::new();
     bench_checkpoint_splice(&mut calls, &opts);
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.value("--json") {
         let mut fields: Vec<(String, Cell)> = Vec::new();
         fields.push((
             "mode".to_string(),
@@ -368,8 +373,9 @@ fn main() {
             .iter()
             .map(|(k, v)| (k.as_str(), v.clone()))
             .collect();
-        std::fs::write(&path, json::object_to_json(&borrowed))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, json::object_to_json(&borrowed))
+            .map_err(|e| format!("--json {path}: {e}"))?;
         println!("# wrote {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -25,6 +25,7 @@ use std::process::ExitCode;
 
 use smt_core::{FetchPolicy, SimConfig, SimStats, Simulator};
 use smt_corpus::{Corpus, CorpusWorkload};
+use smt_experiments::cli::{self, Args, Flags};
 use smt_isa::Program;
 use smt_oracle::verify_mix;
 use smt_trace::{CpiBreakdown, CpiStack, SlotCause};
@@ -327,30 +328,24 @@ fn render_stack_row(label: &str, threads: usize, policy: FetchPolicy, b: &CpiBre
     )
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const FLAGS: Flags = Flags {
+    values: "--corpus --scale",
+    repeated: "",
+    switches: "--report",
+    positionals: 0,
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = flag_value(&args, "--corpus").unwrap_or_else(|| "corpus".to_string());
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => panic!("--scale takes test|paper, not {other}"),
-    };
-    let corpus = match Corpus::load(&dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("corpus_check: cannot load {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cli::main("corpus_check", &FLAGS, run)
+}
 
-    if args.iter().any(|a| a == "--report") {
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let scale = args.scale(Scale::Test)?;
+    let corpus = args
+        .corpus(Some("corpus"))?
+        .expect("a default corpus directory is given");
+
+    Ok(if args.switch("--report") {
         match report(&corpus, scale) {
             Ok(md) => {
                 print!("{md}");
@@ -376,5 +371,5 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-    }
+    })
 }

@@ -34,9 +34,12 @@
 //! cycle — the pipeline's view of the bug, not just its first symptom.
 
 use std::fmt;
+use std::num::NonZeroU64;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use smt_core::{FetchPolicy, PredictorKind, SimConfig, Simulator};
+use smt_experiments::cli::{self, Args, Flags};
 use smt_isa::builder::BuildError;
 use smt_isa::Program;
 use smt_oracle::{verify_mix, verify_mix_with_checkpoints, Divergence, Report};
@@ -356,34 +359,28 @@ fn minimize(
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const FLAGS: Flags = Flags {
+    values: "--seeds --start-seed --workers --checkpoint-every",
+    repeated: "",
+    switches: "--trace-on-divergence",
+    positionals: 0,
+};
+
+fn main() -> ExitCode {
+    cli::main("fuzz", &FLAGS, run)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seeds: u64 =
-        flag_value(&args, "--seeds").map_or(200, |v| v.parse().expect("--seeds takes a count"));
-    let start: u64 = flag_value(&args, "--start-seed")
-        .map_or(0, |v| v.parse().expect("--start-seed takes a seed"));
-    let workers: usize = flag_value(&args, "--workers").map_or_else(
-        || {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        },
-        |v| v.parse().expect("--workers takes a positive integer"),
-    );
-    let workers = workers.clamp(1, seeds.max(1) as usize);
-    let trace = args.iter().any(|a| a == "--trace-on-divergence");
-    let checkpoint_every: Option<u64> = flag_value(&args, "--checkpoint-every").map(|v| {
-        let n = v.parse().expect("--checkpoint-every takes a cycle count");
-        assert!(n > 0, "--checkpoint-every takes a positive cycle count");
-        n
-    });
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let seeds: u64 = args.get("--seeds")?.unwrap_or(200);
+    let start: u64 = args.get("--start-seed")?.unwrap_or(0);
+    let end = start
+        .checked_add(seeds)
+        .ok_or_else(|| format!("--seeds {seeds} from --start-seed {start} overflows a seed"))?;
+    let workers = args.workers()?.min(seeds.max(1) as usize);
+    let trace = args.switch("--trace-on-divergence");
+    let checkpoint_every = args
+        .get::<NonZeroU64>("--checkpoint-every")?
+        .map(NonZeroU64::get);
     let gen_cfg = GenConfig::default();
 
     let began = Instant::now();
@@ -396,12 +393,10 @@ fn main() {
                 s.spawn(move || {
                     let mut runs = 0;
                     let mut failures = Vec::new();
-                    let mut seed = start + w;
-                    while seed < start + seeds {
+                    for seed in (start + w..end).step_by(workers) {
                         let (r, failure) = fuzz_seed(seed, gen_cfg, trace, checkpoint_every);
                         runs += r;
                         failures.extend(failure);
-                        seed += workers as u64;
                     }
                     (runs, failures)
                 })
@@ -434,7 +429,7 @@ fn main() {
     );
     if failures.is_empty() {
         println!("fuzz: no divergences");
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
     for f in &failures {
         eprintln!(
@@ -443,5 +438,5 @@ fn main() {
         );
     }
     eprintln!("fuzz: {} diverging seed(s)", failures.len());
-    std::process::exit(1);
+    Ok(ExitCode::FAILURE)
 }

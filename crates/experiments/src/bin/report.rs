@@ -14,52 +14,47 @@
 //! cargo run --release -p smt-experiments --bin report -- --perf results/report_perf.json
 //! ```
 
-use std::io::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
+use smt_experiments::cli::{self, Args, Flags};
 use smt_experiments::runner::Runner;
 use smt_experiments::{figures, json, Cell};
 use smt_workloads::Scale;
 
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+const FLAGS: Flags = Flags {
+    values: "--json --perf --workers",
+    repeated: "",
+    switches: "--test --serial",
+    positionals: 0,
+};
+
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    let write = || {
+        if let Some(dir) = std::path::Path::new(path).parent() {
+            std::fs::create_dir_all(dir)?;
         }
-    }
-    let mut f = std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    f.write_all(contents.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, contents)
+    };
+    write().map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn main() -> ExitCode {
+    cli::main("report", &FLAGS, run)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--test") {
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let scale = if args.switch("--test") {
         Scale::Test
     } else {
         Scale::Paper
     };
-    let serial = args.iter().any(|a| a == "--serial");
-    let json_path = flag_value(&args, "--json");
-    let perf_path = flag_value(&args, "--perf");
+    let serial = args.switch("--serial");
+    let workers = args.workers()?;
+    let workers = if serial { 1 } else { workers };
 
     let start = Instant::now();
     let mut runner = Runner::new(scale);
-    let workers = if serial {
-        1
-    } else if let Some(n) = flag_value(&args, "--workers") {
-        n.parse().expect("--workers takes a positive integer")
-    } else {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    };
     if workers > 1 {
         // Recording pass: collect every simulation the generators demand.
         let mut recorder = Runner::recorder(scale);
@@ -103,11 +98,11 @@ fn main() {
         cycles as f64 / wall
     );
 
-    if let Some(path) = json_path {
-        write_file(&path, &json::tables_to_json(&tables));
+    if let Some(path) = args.value("--json") {
+        write_file(path, &json::tables_to_json(&tables))?;
         eprintln!("[report] wrote {path}");
     }
-    if let Some(path) = perf_path {
+    if let Some(path) = args.value("--perf") {
         let perf = json::object_to_json(&[
             ("scale", Cell::Text(format!("{scale:?}"))),
             ("serial", Cell::Bool(serial)),
@@ -120,7 +115,8 @@ fn main() {
                 Cell::Float(cycles as f64 / wall),
             ),
         ]);
-        write_file(&path, &perf);
+        write_file(path, &perf)?;
         eprintln!("[report] wrote {path}");
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -36,53 +36,32 @@
 //!     --warmup 20000 --space full --scale test
 //! ```
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use smt_corpus::Corpus;
+use smt_core::SimConfig;
+use smt_experiments::cli::{self, Args, Flags};
 use smt_experiments::explore::{run_search, EvalMode, SearchSpace};
-use smt_experiments::sweep::{run_sweep, Grid, Scheduler, SweepOptions, WorkRef, WorkSpec};
+use smt_experiments::sweep::{run_sweep, Grid, Scheduler, WorkRef, WorkSpec};
 use smt_search::SearchParams;
-use smt_workloads::Scale;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const FLAGS: Flags = Flags {
+    values: "--out --grid --scale --workers --checkpoint-every --corpus \
+             --search --threads --space --warmup --seed",
+    repeated: "",
+    switches: "",
+    positionals: 0,
+};
+
+fn main() -> ExitCode {
+    cli::main("sweep", &FLAGS, run)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = PathBuf::from(
-        flag_value(&args, "--out").expect("--out <dir> is required (cache and results live there)"),
-    );
-    let grid = Grid::named(flag_value(&args, "--grid").as_deref().unwrap_or("smoke"))
-        .unwrap_or_else(|e| panic!("--grid: {e}"));
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => panic!("--scale takes test|paper, not {other}"),
-    };
-    let mut opts = SweepOptions {
-        scale,
-        ..SweepOptions::default()
-    };
-    if let Some(w) = flag_value(&args, "--workers") {
-        opts.workers = w.parse().expect("--workers takes a positive integer");
-        assert!(opts.workers > 0, "--workers takes a positive integer");
-    }
-    if let Some(n) = flag_value(&args, "--checkpoint-every") {
-        let n: u64 = n.parse().expect("--checkpoint-every takes a cycle count");
-        assert!(n > 0, "--checkpoint-every takes a positive cycle count");
-        opts.checkpoint_every = Some(n);
-    }
-    // Normally the crate version; overridable so the stale-cache path can
-    // be exercised from the command line.
-    if let Some(v) = flag_value(&args, "--code-version") {
-        opts.code_version = v;
-    }
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let out = Path::new(args.required("--out")?);
+    let grid =
+        Grid::named(args.value("--grid").unwrap_or("smoke")).map_err(|e| format!("--grid: {e}"))?;
     // A grid that names corpus kernels (the hetero grid) defaults the
     // corpus to the repository's `corpus/` directory; any grid accepts an
     // explicit `--corpus <dir>`.
@@ -91,32 +70,23 @@ fn main() {
         .iter()
         .flat_map(WorkSpec::refs)
         .any(|r| matches!(r, WorkRef::Corpus(_)));
-    let corpus_dir =
-        flag_value(&args, "--corpus").or_else(|| names_corpus.then(|| "corpus".to_string()));
-    if let Some(dir) = corpus_dir {
-        let corpus = Corpus::load(&dir)
-            .unwrap_or_else(|e| panic!("--corpus {dir}: cannot load the workload corpus: {e}"));
-        opts.corpus = Some(Arc::new(corpus));
-    }
+    let opts = args.sweep_options(names_corpus.then_some("corpus"))?;
+    let io_error = |e: std::io::Error| format!("--out {}: {e}", out.display());
 
-    if let Some(workload) = flag_value(&args, "--search") {
-        let work = WorkSpec::parse(&workload).unwrap_or_else(|e| panic!("--search: {e}"));
-        let threads: usize = flag_value(&args, "--threads").map_or(4, |t| {
-            t.parse().expect("--threads takes a positive integer")
-        });
-        let space = SearchSpace::named(flag_value(&args, "--space").as_deref(), work, threads)
-            .unwrap_or_else(|e| panic!("--space: {e}"));
-        let mode = EvalMode::from_warmup(
-            flag_value(&args, "--warmup").map(|w| w.parse().expect("--warmup takes a cycle count")),
-        );
+    if let Some(work) = args.parse_with("--search", WorkSpec::parse)? {
+        let threads = args.get("--threads")?.unwrap_or(4);
+        let machine = SimConfig::default().with_threads(threads);
+        machine.validate().map_err(|e| format!("--threads: {e}"))?;
+        let space = SearchSpace::named(args.value("--space"), work, threads)
+            .map_err(|e| format!("--space: {e}"))?;
+        let mode = EvalMode::from_warmup(args.get("--warmup")?);
         let params = SearchParams {
-            seed: flag_value(&args, "--seed")
-                .map_or(0, |s| s.parse().expect("--seed takes an integer")),
+            seed: args.get("--seed")?.unwrap_or(0),
             ..SearchParams::default()
         };
         let began = Instant::now();
-        let sched = Scheduler::new(&out, opts).expect("cannot open the result store");
-        let report = run_search(&sched, &space, mode, &params).expect("search I/O failed");
+        let sched = Scheduler::new(out, opts).map_err(io_error)?;
+        let report = run_search(&sched, &space, mode, &params).map_err(io_error)?;
         println!(
             "search: {} evaluations, {} climb steps, {}-point frontier ({mode} mode) in {:.1}s",
             report.outcome.evaluations.len(),
@@ -134,11 +104,11 @@ fn main() {
         }
         println!("search: trajectory at {}", report.trajectory_path.display());
         println!("search: frontier at {}", report.frontier_path.display());
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let began = Instant::now();
-    let summary = run_sweep(&grid, &out, &opts).expect("sweep I/O failed");
+    let summary = run_sweep(&grid, out, &opts).map_err(io_error)?;
     let secs = began.elapsed().as_secs_f64();
     println!(
         "sweep: {} cells ({} executed, {} cached, {} resumed mid-flight, {} infeasible) \
@@ -160,4 +130,5 @@ fn main() {
         summary.cached,
     );
     println!("sweep: results at {}", summary.results_path.display());
+    Ok(ExitCode::SUCCESS)
 }

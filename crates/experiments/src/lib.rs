@@ -14,6 +14,7 @@
 //! println!("{table}");
 //! ```
 
+pub mod cli;
 pub mod explore;
 pub mod figures;
 pub mod json;

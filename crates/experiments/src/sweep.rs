@@ -664,9 +664,11 @@ impl CellRecord {
         }
     }
 
-    /// Serializes the record as `key=value` lines (the cell-cache format;
-    /// the repository has no JSON *parser*, so the cache uses a format that
-    /// is trivial to read back).
+    /// Serializes the record as `key=value` lines, the cell store's
+    /// fail-closed format: every field is one line that
+    /// [`parse`](Self::parse) must find and read back exactly, so a torn,
+    /// truncated or hand-edited file reads as absent and the cell runs
+    /// again.
     #[must_use]
     pub fn to_lines(&self) -> String {
         // Floats use `{:?}` (shortest round-trip form): a parsed-back value

@@ -23,59 +23,33 @@
 //! suites parse it to learn the ephemeral port when `--addr` ends in
 //! `:0` (the default).
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::Path;
+use std::process::ExitCode;
 
-use smt_corpus::Corpus;
-use smt_experiments::sweep::SweepOptions;
+use smt_experiments::cli::{self, Args, Flags};
 use smt_serve::server::Server;
-use smt_workloads::Scale;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const FLAGS: Flags = Flags {
+    values: "--store --addr --scale --workers --checkpoint-every --corpus",
+    repeated: "",
+    switches: "",
+    positionals: 0,
+};
+
+fn main() -> ExitCode {
+    cli::main("serve", &FLAGS, run)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let store = PathBuf::from(
-        flag_value(&args, "--store").expect("--store <dir> is required (the shared cell store)"),
-    );
-    let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let scale = match flag_value(&args, "--scale").as_deref() {
-        None | Some("test") => Scale::Test,
-        Some("paper") => Scale::Paper,
-        Some(other) => panic!("--scale takes test|paper, not {other}"),
-    };
-    let mut opts = SweepOptions {
-        scale,
-        ..SweepOptions::default()
-    };
-    if let Some(w) = flag_value(&args, "--workers") {
-        opts.workers = w.parse().expect("--workers takes a positive integer");
-        assert!(opts.workers > 0, "--workers takes a positive integer");
-    }
-    if let Some(n) = flag_value(&args, "--checkpoint-every") {
-        let n: u64 = n.parse().expect("--checkpoint-every takes a cycle count");
-        assert!(n > 0, "--checkpoint-every takes a positive cycle count");
-        opts.checkpoint_every = Some(n);
-    }
-    if let Some(v) = flag_value(&args, "--code-version") {
-        opts.code_version = v;
-    }
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let store = Path::new(args.required("--store")?);
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:0");
     // With a corpus attached, submissions may name corpus kernels and
     // '+'-joined per-thread mixes; without one, such cells are refused
     // with a typed error at admission.
-    if let Some(dir) = flag_value(&args, "--corpus") {
-        let corpus = Corpus::load(&dir)
-            .unwrap_or_else(|e| panic!("--corpus {dir}: cannot load the workload corpus: {e}"));
-        opts.corpus = Some(Arc::new(corpus));
-    }
-
+    let opts = args.sweep_options(None)?;
     let workers = opts.workers;
-    let server = Server::start(&addr, &store, opts).expect("serve: bind/store failed");
+    let server = Server::start(addr, store, opts)
+        .map_err(|e| format!("cannot serve {addr} from store {}: {e}", store.display()))?;
     // Scripts parse this exact first line for the bound port.
     println!(
         "serve: listening on {} ({} workers, store {})",
@@ -85,4 +59,5 @@ fn main() {
     );
     server.join();
     println!("serve: shut down");
+    Ok(ExitCode::SUCCESS)
 }

@@ -15,107 +15,108 @@
 //! run over the same cells would produce. Exits nonzero if any cell
 //! failed or the server refused the submission.
 
+use std::error::Error;
 use std::process::ExitCode;
 
+use smt_experiments::cli::{self, Args, Flags};
 use smt_experiments::json::parse_value;
+use smt_experiments::sweep::CellSpec;
 use smt_serve::client::Client;
 use smt_serve::proto;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const FLAGS: Flags = Flags {
+    values: "--addr --grid --cell --out",
+    repeated: "--cell",
+    switches: "--progress --cpi",
+    positionals: 2,
+};
 
-fn connect(args: &[String]) -> Client {
-    let addr = flag_value(args, "--addr").expect("--addr <host:port> is required");
-    Client::connect(&addr).unwrap_or_else(|e| panic!("sweep-client: cannot reach {addr}: {e}"))
-}
-
-fn parse_cell(text: &str) -> smt_experiments::sweep::CellSpec {
-    let v = parse_value(text).unwrap_or_else(|e| panic!("--cell is not JSON: {e}"));
-    proto::spec_from_value(&v).unwrap_or_else(|e| panic!("--cell is not a cell spec: {e}"))
-}
+const USAGE: &str =
+    "usage: sweep-client --addr <host:port> ping|status|submit|fetch '<cell json>'|shutdown";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let verb = args
-        .iter()
-        .find(|a| !a.starts_with("--") && flag_value(&args, "--addr").as_deref() != Some(a))
-        .cloned()
-        .expect("usage: sweep-client --addr <host:port> ping|status|submit|fetch|shutdown …");
+    cli::main("sweep-client", &FLAGS, run)
+}
 
-    match verb.as_str() {
-        "ping" => {
-            let pong = connect(&args).ping().expect("ping failed");
-            println!("{}", pong.to_line());
-        }
-        "status" => {
-            let status = connect(&args).status().expect("status failed");
-            println!("{}", status.to_line());
-        }
-        "fetch" => {
-            let spec_text = args
-                .iter()
-                .skip_while(|a| a.as_str() != "fetch")
-                .nth(1)
-                .expect("usage: sweep-client --addr <host:port> fetch '<cell json>'");
-            let spec = parse_cell(spec_text);
-            match connect(&args).fetch(&spec).expect("fetch failed") {
+fn parse_cell(text: &str) -> Result<CellSpec, String> {
+    let v = parse_value(text).map_err(|e| format!("not JSON: {e}"))?;
+    proto::spec_from_value(&v).map_err(|e| format!("not a cell spec: {e}"))
+}
+
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let (verb, fetched) = match args.positionals() {
+        [verb] if verb != "fetch" => (verb.as_str(), None),
+        [verb, cell] if verb == "fetch" => (verb.as_str(), Some(parse_cell(cell))),
+        _ => return Err(USAGE.to_string()),
+    };
+    let fetched = fetched.transpose().map_err(|e| format!("fetch: {e}"))?;
+    if !matches!(verb, "ping" | "status" | "submit" | "fetch" | "shutdown") {
+        return Err(format!("unknown verb `{verb}`; {USAGE}"));
+    }
+    let cells = args.values("--cell").map(parse_cell);
+    let cells = cells
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("--cell: {e}"))?;
+    let grid = args.value("--grid");
+    if verb == "submit" && cells.is_empty() && grid.is_none() {
+        return Err("submit needs --grid <name> and/or --cell '<json>'".to_string());
+    }
+    let addr = args.required("--addr")?;
+    let mut client =
+        Client::connect(addr).map_err(|e| format!("--addr {addr}: cannot connect: {e}"))?;
+
+    // The server's answer, or why the exchange failed: the command ran.
+    let mut results = None;
+    let submitted = &mut results;
+    let exchange = move || -> Result<ExitCode, Box<dyn Error>> {
+        match (verb, &fetched) {
+            ("ping", _) => println!("{}", client.ping()?.to_line()),
+            ("status", _) => println!("{}", client.status()?.to_line()),
+            ("shutdown", _) => {
+                client.shutdown()?;
+                println!("sweep-client: server acknowledged shutdown");
+            }
+            (_, Some(spec)) => match client.fetch(spec)? {
                 Some(rec) => println!("{}: {} ipc={:?}", rec.id, rec.status.as_str(), rec.ipc),
                 None => {
                     println!("{}: miss", spec.id());
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
+                }
+            },
+            _ => {
+                let (progress, cpi) = (args.switch("--progress"), args.switch("--cpi"));
+                let outcome = client.submit(&cells, grid, progress, cpi, &mut |p| {
+                    eprintln!("… {} @ cycle {} ({} committed)", p.id, p.cycle, p.committed);
+                })?;
+                for (_, rec) in &outcome.cells {
+                    println!("{}: {} ipc={:?}", rec.id, rec.status.as_str(), rec.ipc);
+                }
+                for (id, reason) in &outcome.failed {
+                    eprintln!("FAILED {id}: {reason}");
+                }
+                eprintln!(
+                    "sweep-client: {} cells ({} cached, {} scheduled, {} joined, {} failed)",
+                    outcome.cells.len() + outcome.failed.len(),
+                    outcome.cached,
+                    outcome.scheduled,
+                    outcome.joined,
+                    outcome.failed.len()
+                );
+                *submitted = Some(outcome.results_json());
+                if !outcome.failed.is_empty() {
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
-        "shutdown" => {
-            connect(&args).shutdown().expect("shutdown failed");
-            println!("sweep-client: server acknowledged shutdown");
-        }
-        "submit" => {
-            let cells: Vec<_> = args
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.as_str() == "--cell")
-                .map(|(i, _)| parse_cell(args.get(i + 1).expect("--cell takes a JSON cell spec")))
-                .collect();
-            let grid = flag_value(&args, "--grid");
-            assert!(
-                !cells.is_empty() || grid.is_some(),
-                "submit needs --grid <name> and/or --cell '<json>'"
-            );
-            let progress = args.iter().any(|a| a == "--progress");
-            let cpi = args.iter().any(|a| a == "--cpi");
-            let outcome = connect(&args)
-                .submit(&cells, grid.as_deref(), progress, cpi, &mut |p| {
-                    eprintln!("… {} @ cycle {} ({} committed)", p.id, p.cycle, p.committed);
-                })
-                .expect("submit failed");
-            for (_, rec) in &outcome.cells {
-                println!("{}: {} ipc={:?}", rec.id, rec.status.as_str(), rec.ipc);
-            }
-            for (id, reason) in &outcome.failed {
-                eprintln!("FAILED {id}: {reason}");
-            }
-            eprintln!(
-                "sweep-client: {} cells ({} cached, {} scheduled, {} joined, {} failed)",
-                outcome.cells.len() + outcome.failed.len(),
-                outcome.cached,
-                outcome.scheduled,
-                outcome.joined,
-                outcome.failed.len()
-            );
-            if let Some(path) = flag_value(&args, "--out") {
-                std::fs::write(&path, outcome.results_json()).expect("writing --out failed");
-                eprintln!("sweep-client: results at {path}");
-            }
-            if !outcome.failed.is_empty() {
-                return ExitCode::FAILURE;
-            }
-        }
-        other => panic!("unknown verb {other:?} (ping|status|submit|fetch|shutdown)"),
+        Ok(ExitCode::SUCCESS)
+    };
+    let code = exchange().unwrap_or_else(|e| {
+        eprintln!("sweep-client: {verb} failed: {e}");
+        ExitCode::FAILURE
+    });
+    if let (Some(path), Some(json)) = (args.value("--out"), results) {
+        std::fs::write(path, json).map_err(|e| format!("--out {path}: {e}"))?;
+        eprintln!("sweep-client: results at {path}");
     }
-    ExitCode::SUCCESS
+    Ok(code)
 }

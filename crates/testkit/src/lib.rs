@@ -9,7 +9,8 @@
 //! On top of the [`Rng`] sit the differential-fuzzing pieces: [`progen`]
 //! generates constrained-random SPMD programs from a seed, and [`shrink`]
 //! greedily minimizes a failing configuration, so a fuzzer repro is always
-//! just `(seed, segment mask)`.
+//! just `(seed, segment mask)`. [`assert_refused`] checks how a binary
+//! refuses a malformed command line.
 //!
 //! ```
 //! use smt_testkit::Rng;
@@ -110,6 +111,24 @@ pub fn cases(cases: u64, mut body: impl FnMut(&mut Rng)) {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// Runs `command` (a workspace binary) and asserts that it refused its
+/// command line the way every binary must: exit code 2 and exactly one
+/// stderr line, which contains `culprit`, with no panic. Returns that line.
+///
+/// # Panics
+///
+/// Panics when the binary cannot be run or did anything else.
+pub fn assert_refused(command: &mut std::process::Command, culprit: &str) -> String {
+    let output = command.output().expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    let context = format!("{command:?}: {stderr:?}");
+    assert_eq!(output.status.code(), Some(2), "{context}");
+    assert_eq!(stderr.lines().count(), 1, "{context}");
+    assert!(stderr.contains(culprit), "no `{culprit}` in {context}");
+    assert!(!stderr.contains("panicked"), "{context}");
+    stderr
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! [`Tracer`]: the everything bundle — lifecycle + CPI stack + occupancy
-//! in one sink, for the `trace`/`debug_stuck`/`fuzz` binaries that want
-//! the whole picture from a single run.
+//! in one sink, for `smt-sim --trace` and the `fuzz` binary's
+//! `--trace-on-divergence`, which want the whole picture from a single
+//! run.
 
 use crate::cpi::{CpiBreakdown, CpiStack};
 use crate::event::{TraceEvent, TraceSink};
