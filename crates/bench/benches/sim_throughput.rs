@@ -26,7 +26,8 @@
 //! The `checkpoint_splice` group times the calls of a checkpoint splice
 //! (`<case>/median_us`, the median per-call time over repeated samples)
 //! rather than a simulation: each call separately, then `round_trip`,
-//! all four in order as the fuzz oracle splices.
+//! `checkpoint` + `to_bytes`, `from_bytes` and `restore_into` in order, as
+//! the fuzz oracle splices.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -271,10 +272,11 @@ fn bench_call(out: &mut Vec<CallResult>, opts: &Opts, name: &str, mut body: impl
 }
 
 /// One checkpoint splice, call by call: `checkpoint` + `to_bytes`,
-/// `Snapshot::from_bytes`, `Simulator::restore`, and a cold
-/// `Simulator::try_new` for scale; then the whole splice, as the oracle
-/// makes it. The machine is test-scale Sieve stopped after 300 cycles,
-/// with blocks in flight.
+/// `Snapshot::from_bytes`, a fresh `Simulator::restore`, an in-place
+/// `Simulator::restore_into`, and a cold `Simulator::try_new` for scale;
+/// then the whole splice, as the oracle makes it (the machine restores its
+/// own snapshot, so it is the same machine every sample). The machine is
+/// test-scale Sieve stopped after 300 cycles, with blocks in flight.
 fn bench_checkpoint_splice(out: &mut Vec<CallResult>, opts: &Opts) {
     println!("# checkpoint_splice: Sieve, Scale::Test, after 300 cycles");
     for threads in [1, 4, 8] {
@@ -299,15 +301,16 @@ fn bench_checkpoint_splice(out: &mut Vec<CallResult>, opts: &Opts) {
         bench_call(out, opts, &case("restore"), || {
             black_box(Simulator::restore(config.clone(), &program, &snap).expect("restores"));
         });
+        bench_call(out, opts, &case("restore_into"), || {
+            sim.restore_into(black_box(&snap)).expect("restores");
+        });
         bench_call(out, opts, &case("try_new"), || {
             black_box(Simulator::try_new(config.clone(), &program).expect("builds"));
         });
         bench_call(out, opts, &case("round_trip"), || {
             let wire = sim.checkpoint().to_bytes();
             let snap = Snapshot::from_bytes(&wire).expect("decodes");
-            black_box(
-                Simulator::restore_mix(sim.config().clone(), &[&program], &snap).expect("restores"),
-            );
+            sim.restore_into(&snap).expect("restores");
         });
     }
 }

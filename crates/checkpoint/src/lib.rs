@@ -152,6 +152,12 @@ impl Writer {
         self.buf.push(v);
     }
 
+    /// `n` zero bytes at once — a run of empty slots of a sparse table,
+    /// each of which [`put_u8`](Self::put_u8)`(0)` would write.
+    pub fn put_zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -168,6 +174,17 @@ impl Writer {
     /// on the writing platform's pointer width.
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
+    }
+
+    /// Overwrites the `usize` written at byte offset `at` (a [`len`](Self::len)
+    /// taken just before its `put_usize`) — for a count known only once the
+    /// items it counts have been written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than 8 bytes follow `at`.
+    pub fn patch_usize(&mut self, at: usize, v: usize) {
+        self.buf[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
     }
 
     pub fn put_opt_u64(&mut self, v: Option<u64>) {
@@ -216,7 +233,8 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// The next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::Truncated {
                 wanted: n,
@@ -230,6 +248,25 @@ impl<'a> Reader<'a> {
 
     pub fn take_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Consumes the zero bytes that come next, up to `max` of them, and
+    /// returns how many it consumed — the run of empty slots a sparse
+    /// table's [`put_zeros`](Writer::put_zeros) wrote, read eight at a
+    /// time instead of one [`take_u8`](Self::take_u8) each.
+    pub fn take_zeros(&mut self, max: usize) -> usize {
+        let rest = &self.buf[self.pos..];
+        let rest = &rest[..max.min(rest.len())];
+        let mut n = 0;
+        for word in rest.chunks_exact(8) {
+            if word != [0; 8] {
+                break;
+            }
+            n += 8;
+        }
+        n += rest[n..].iter().take_while(|&&b| b == 0).count();
+        self.pos += n;
+        n
     }
 
     pub fn take_u32(&mut self) -> Result<u32, DecodeError> {
@@ -595,6 +632,38 @@ mod tests {
         assert_eq!(r.take_opt_u64().unwrap(), Some(9));
         assert_eq!(r.take_bytes().unwrap(), b"hello");
         r.expect_section(0x5155_0001).unwrap();
+        r.finish().unwrap();
+    }
+
+    /// `take_zeros` reads back exactly the zero runs `put_zeros` wrote —
+    /// across word boundaries, stopping at a nonzero byte, at its limit,
+    /// and at the end of the buffer.
+    #[test]
+    fn zero_runs_round_trip() {
+        for (run, max) in [
+            (0, 64),
+            (3, 64),
+            (8, 64),
+            (13, 64),
+            (40, 64),
+            (40, 17),
+            (40, 8),
+        ] {
+            let mut w = Writer::new();
+            w.put_zeros(run);
+            w.put_u8(5);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.take_zeros(max), run.min(max), "run {run}, max {max}");
+            if run <= max {
+                assert_eq!(r.take_u8().unwrap(), 5);
+                r.finish().unwrap();
+            }
+        }
+        let zeros = [0u8; 11];
+        let mut r = Reader::new(&zeros);
+        assert_eq!(r.take_zeros(usize::MAX), 11);
+        assert_eq!(r.take_zeros(usize::MAX), 0);
         r.finish().unwrap();
     }
 

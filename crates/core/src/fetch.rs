@@ -64,7 +64,7 @@ struct ThreadState {
 }
 
 /// The multithreaded instruction unit.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct InstructionUnit {
     threads: Vec<ThreadState>,
     policy: FetchPolicy,
@@ -124,27 +124,37 @@ impl InstructionUnit {
             !aligned || width.is_power_of_two(),
             "aligned fetch needs a power-of-two block size"
         );
-        InstructionUnit {
-            threads: entries
-                .iter()
-                .map(|&entry| ThreadState {
-                    pc: entry,
-                    fetch_halted: false,
-                    suspended_on: None,
-                    resume_pc: entry,
-                    retired: false,
-                    masked: false,
-                    switch_pending: false,
-                    spec_stalled: false,
-                })
-                .collect(),
+        let mut iu = InstructionUnit {
+            threads: Vec::with_capacity(entries.len()),
             policy,
             width,
             aligned,
             rr: 0,
             active: 0,
             pool: Vec::new(),
-        }
+        };
+        iu.reset(entries.iter().copied());
+        iu
+    }
+
+    /// Returns the unit to its cold state — one thread per entry point,
+    /// each fetching from its entry, and the policy cursors at thread 0 —
+    /// keeping its storage, the fetch-group pool included.
+    pub fn reset(&mut self, entries: impl IntoIterator<Item = usize>) {
+        self.threads.clear();
+        self.threads
+            .extend(entries.into_iter().map(|entry| ThreadState {
+                pc: entry,
+                fetch_halted: false,
+                suspended_on: None,
+                resume_pc: entry,
+                retired: false,
+                masked: false,
+                switch_pending: false,
+                spec_stalled: false,
+            }));
+        self.rr = 0;
+        self.active = 0;
     }
 
     /// Number of threads.
@@ -286,8 +296,7 @@ impl InstructionUnit {
     ) -> Option<FetchedBlock> {
         debug_assert!(self.fetchable(tid), "fetching for an unfetchable thread");
         let mut pc = self.threads[tid].pc;
-        let mut insns = self.pool.pop().unwrap_or_default();
-        insns.reserve(self.width);
+        let mut insns = self.group_storage();
         // Aligned mode: the block spans [start, start + width); entering it
         // mid-way forfeits the leading slots.
         let block_end = if self.aligned {
@@ -340,6 +349,15 @@ impl InstructionUnit {
                 fetched_at: 0,
             })
         }
+    }
+
+    /// Empty storage for one fetch group: a recycled buffer when the pool
+    /// holds one, so steady-state fetch (and snapshot decode of the fetch
+    /// queue) allocates nothing.
+    pub fn group_storage(&mut self) -> Vec<FetchedInsn> {
+        let mut insns = self.pool.pop().unwrap_or_default();
+        insns.reserve(self.width);
+        insns
     }
 
     /// Returns a consumed fetch group's storage for reuse by the next
@@ -498,23 +516,22 @@ impl InstructionUnit {
         w.put_usize(self.active);
     }
 
-    /// Rebuilds a unit from [`save`](Self::save)d state under the given
-    /// configuration.
-    pub fn restore(
-        n_threads: usize,
-        policy: FetchPolicy,
-        width: usize,
-        aligned: bool,
+    /// Replaces every thread's fetch state and the policy cursors with
+    /// [`save`](Self::save)d state, refusing another thread count or a
+    /// cursor past the last thread. Every field is written (the transient
+    /// speculation stall cleared), so no reset need precede it.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
+    ) -> Result<(), smt_checkpoint::DecodeError> {
+        let n_threads = self.threads.len();
         let n = r.take_usize()?;
         if n != n_threads {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
                 "fetch unit: {n} serialized threads, config has {n_threads}"
             )));
         }
-        let mut iu = InstructionUnit::with_alignment(n_threads, policy, 0, width, aligned);
-        for t in &mut iu.threads {
+        for t in &mut self.threads {
             t.pc = r.take_usize()?;
             t.fetch_halted = r.take_bool()?;
             t.suspended_on = r.take_opt_u64()?.map(Tag::from_raw);
@@ -522,16 +539,33 @@ impl InstructionUnit {
             t.retired = r.take_bool()?;
             t.masked = r.take_bool()?;
             t.switch_pending = r.take_bool()?;
+            t.spec_stalled = false;
         }
-        iu.rr = r.take_usize()?;
-        iu.active = r.take_usize()?;
-        if iu.rr >= n_threads || iu.active >= n_threads {
+        self.rr = r.take_usize()?;
+        self.active = r.take_usize()?;
+        if self.rr >= n_threads || self.active >= n_threads {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
                 "fetch cursors rr={} active={} for {n_threads} threads",
-                iu.rr, iu.active
+                self.rr, self.active
             )));
         }
-        Ok(iu)
+        Ok(())
+    }
+}
+
+/// Leaves out the fetch-group pool: it is spare storage, not fetch state,
+/// and two units in the same state print alike whatever storage they have
+/// recycled.
+impl std::fmt::Debug for InstructionUnit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InstructionUnit")
+            .field("threads", &self.threads)
+            .field("policy", &self.policy)
+            .field("width", &self.width)
+            .field("aligned", &self.aligned)
+            .field("rr", &self.rr)
+            .field("active", &self.active)
+            .finish_non_exhaustive()
     }
 }
 

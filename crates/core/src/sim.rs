@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use smt_checkpoint::{DecodeError, Reader, Snapshot, Writer};
 use smt_isa::semantics::{alu_result, branch_taken, effective_addr};
 use smt_isa::{window_size, FuClass, Opcode, Program, Reg, MAX_THREADS, WORD_BYTES};
-use smt_mem::{CacheStats, DataCache, MainMemory, MemError, Outcome, StoreBuffer};
+use smt_mem::{DataCache, MainMemory, MemError, Outcome, StoreBuffer};
 use smt_trace::{DecodedSlot, MemKind, Occupancy, RetireKind, SlotCause, TraceEvent, TraceSink};
 use smt_uarch::{FuPool, Predictor, TagAllocator};
 
@@ -160,7 +160,7 @@ impl<'p> Simulator<'p> {
     /// * [`SimError::RegisterWindow`] if the program names a register
     ///   outside the per-thread window implied by the thread count.
     pub fn try_new(config: SimConfig, program: &'p Program) -> Result<Self, SimError> {
-        Self::build(config, vec![program])
+        Self::try_new_mix(config, &[program])
     }
 
     /// Fallible constructor over a program list, which holds either
@@ -187,34 +187,22 @@ impl<'p> Simulator<'p> {
     /// * everything [`try_new`](Self::try_new) reports.
     pub fn try_new_mix(config: SimConfig, programs: &[&'p Program]) -> Result<Self, SimError> {
         let programs = mix_programs(&config, programs)?;
-        Self::build(config, programs)
+        check_fit(&config, &programs)?;
+        Ok(Self::build(config_identity(&config), config, programs))
     }
 
-    /// Cold construction: every component empty, the register file
-    /// seeded with each thread's place in the gang, memory holding the
-    /// program images.
-    fn build(config: SimConfig, programs: Vec<&'p Program>) -> Result<Self, SimError> {
-        check_fit(&config, &programs)?;
+    /// Cold construction of a machine already checked by [`check_fit`]
+    /// (`config_id` is `config`'s identity): a shell of cold components —
+    /// each one's `new` is its `reset` applied to an empty value — plus
+    /// [`reset_core`](Self::reset_core) for the state the simulator holds
+    /// itself.
+    fn build(config_id: u64, config: SimConfig, programs: Vec<&'p Program>) -> Self {
         let multiprogram = programs.len() > 1;
-        let window = window_size(config.threads);
-        let mut regfile = vec![0u64; window * config.threads];
-        for tid in 0..config.threads {
-            // A mix thread is thread 0 of 1 from its program's view; an
-            // SPMD thread knows its place in the gang.
-            let (tid_seed, n_seed) = if multiprogram {
-                (0, 1)
-            } else {
-                (tid as u64, config.threads as u64)
-            };
-            regfile[tid * window] = tid_seed;
-            regfile[tid * window + 1] = n_seed;
-        }
-        let (mem_base, mem_span) = segments(&programs, config.threads);
         let entries: Vec<usize> = (0..config.threads)
             .map(|tid| programs[if multiprogram { tid } else { 0 }].entry())
             .collect();
-        Ok(Simulator {
-            config_id: config_identity(&config),
+        let (mem_base, mem_span) = segments(&programs, config.threads);
+        let mut sim = Simulator {
             su: SchedulingUnit::new(config.su_blocks(), config.block_size),
             iu: InstructionUnit::with_entries(
                 config.fetch_policy,
@@ -225,29 +213,84 @@ impl<'p> Simulator<'p> {
             predictor: Predictor::build(config.predictor, config.btb_entries, config.threads),
             fu: FuPool::new(config.fu),
             tags: TagAllocator::new(config.su_depth),
-            regfile,
-            window,
-            mem: MainMemory::from_words(baseline_words(&programs)),
+            regfile: Vec::new(),
+            window: window_size(config.threads),
+            mem: MainMemory::new(0),
             cache: DataCache::new(config.cache),
             sb: StoreBuffer::new(config.store_buffer),
             fetch_queue: VecDeque::with_capacity(config.fetch_threads),
-            memsync: vec![VecDeque::with_capacity(config.su_depth); config.threads],
-            decode_buf: Vec::with_capacity(config.block_size),
-            occupancy_buf: vec![0; config.threads],
+            memsync: Vec::new(),
+            decode_buf: Vec::new(),
+            occupancy_buf: Vec::new(),
             next_uid: 0,
             fetch_suppressed: false,
-            stats: SimStats {
-                committed: vec![0; config.threads],
-                issue_histogram: vec![0; config.issue_width + 1],
-                ..SimStats::default()
-            },
+            stats: SimStats::default(),
             cycle: 0,
+            config_id,
             config,
             programs,
             multiprogram,
             mem_base,
             mem_span,
-        })
+        };
+        sim.reset_core();
+        sim
+    }
+
+    /// Returns the machine to the cold state [`try_new_mix`](Self::try_new_mix)
+    /// builds, in the storage it already owns: every component's `reset`,
+    /// then [`reset_core`](Self::reset_core).
+    fn reset(&mut self) {
+        self.su.reset();
+        let (programs, multiprogram) = (&self.programs, self.multiprogram);
+        self.iu.reset(
+            (0..self.config.threads)
+                .map(|tid| programs[if multiprogram { tid } else { 0 }].entry()),
+        );
+        self.predictor.reset();
+        self.fu.reset();
+        self.tags.reset();
+        self.cache.reset();
+        self.sb.reset();
+        self.reset_core();
+    }
+
+    /// The cold state of what the simulator holds beside its components:
+    /// the register file seeded with each thread's place in the gang,
+    /// memory holding the program images, empty fetch and ordering
+    /// queues, zeroed statistics, cycle zero. A queued fetch group's
+    /// storage goes back to the fetch unit's pool.
+    fn reset_core(&mut self) {
+        let threads = self.config.threads;
+        self.cycle = 0;
+        self.next_uid = 0;
+        self.fetch_suppressed = false;
+        self.regfile.clear();
+        self.regfile.resize(self.window * threads, 0);
+        for tid in 0..threads {
+            // A mix thread is thread 0 of 1 from its program's view; an
+            // SPMD thread knows its place in the gang.
+            let (tid_seed, n_seed) = if self.multiprogram {
+                (0, 1)
+            } else {
+                (tid as u64, threads as u64)
+            };
+            self.regfile[tid * self.window] = tid_seed;
+            self.regfile[tid * self.window + 1] = n_seed;
+        }
+        self.mem.load_images(self.programs.iter().map(|p| p.data()));
+        while let Some(group) = self.fetch_queue.pop_front() {
+            self.iu.recycle(group.insns);
+        }
+        let depth = self.config.su_depth;
+        self.memsync
+            .resize_with(threads, || VecDeque::with_capacity(depth));
+        self.memsync.iter_mut().for_each(VecDeque::clear);
+        self.decode_buf.clear();
+        self.decode_buf.reserve(self.config.block_size);
+        self.occupancy_buf.clear();
+        self.occupancy_buf.resize(threads, 0);
+        self.stats.reset(threads, self.config.issue_width);
     }
 
     /// The program thread `tid` runs (every thread's in the homogeneous
@@ -1093,7 +1136,7 @@ impl<'p> Simulator<'p> {
             }
             return;
         }
-        let block = self
+        let mut block = self
             .fetch_queue
             .remove(*qi)
             .expect("eligibility scan checked the index");
@@ -1105,14 +1148,16 @@ impl<'p> Simulator<'p> {
         // state (sized to one block at construction).
         let mut staged = std::mem::take(&mut self.decode_buf);
         staged.clear();
-        let mut leftover: Vec<FetchedInsn> = Vec::new();
+        // Index of the first instruction left undecoded, whose remainder
+        // keeps the group's turn (in the group's own storage).
+        let mut leftover_from = block.insns.len();
         let cswitch = self.config.fetch_policy == FetchPolicy::ConditionalSwitch;
 
         for (idx, f) in block.insns.iter().enumerate() {
             if staged.len() >= self.config.block_size {
                 // A fetch group wider than a scheduling-unit block drains
                 // one block per cycle; the remainder keeps its turn.
-                leftover = block.insns[idx..].to_vec();
+                leftover_from = idx;
                 break;
             }
             // Resolve sources: in-group producers first (youngest), then the
@@ -1151,7 +1196,7 @@ impl<'p> Simulator<'p> {
                 };
             }
             if scoreboard_stall {
-                leftover = block.insns[idx..].to_vec();
+                leftover_from = idx;
                 break;
             }
             let tag = self
@@ -1269,7 +1314,7 @@ impl<'p> Simulator<'p> {
             // absent from a short fetch group / discarded past a
             // block-ending instruction.
             let decoded = staged.len() as u32;
-            let held = (leftover.len() as u32).min(width - decoded);
+            let held = ((block.insns.len() - leftover_from) as u32).min(width - decoded);
             if held > 0 {
                 obs.trace(&TraceEvent::SlotsLost {
                     cycle: self.cycle,
@@ -1287,19 +1332,11 @@ impl<'p> Simulator<'p> {
         }
         staged.clear();
         self.decode_buf = staged;
-        if !leftover.is_empty() {
+        if leftover_from < block.insns.len() {
             // The undrained remainder keeps the group's queue position: one
-            // scheduling-unit block per group per cycle. The drained
-            // original's storage goes back to the fetcher.
-            self.fetch_queue.insert(
-                *qi,
-                FetchedBlock {
-                    tid,
-                    insns: leftover,
-                    fetched_at: block.fetched_at,
-                },
-            );
-            self.iu.recycle(block.insns);
+            // scheduling-unit block per group per cycle.
+            block.insns.drain(..leftover_from);
+            self.fetch_queue.insert(*qi, block);
             *deferred_width |= 1 << tid;
             *qi += 1;
         } else {
@@ -1534,7 +1571,7 @@ impl<'p> Simulator<'p> {
             }
         }
         w.section(sec::STATS);
-        save_stats(&self.stats, &mut w);
+        self.stats.save(&mut w);
         Snapshot {
             config_hash: self.config_id,
             program_hashes: identities(&self.programs),
@@ -1762,7 +1799,7 @@ impl<'p> Simulator<'p> {
             }
         }
         r.expect_section(wsec::MEMORY)?;
-        self.mem = MainMemory::restore_delta(baseline_words(&self.programs), &mut r)?;
+        self.mem.decode_delta(&mut r)?;
         r.finish()?;
         Ok(())
     }
@@ -1794,6 +1831,9 @@ impl<'p> Simulator<'p> {
     /// a mix under a permuted or partially swapped list, or a
     /// homogeneous snapshot under a mix, fails closed.
     ///
+    /// The identity checks, then the cold machine of `try_new_mix`,
+    /// then the decode of [`restore_into`](Self::restore_into).
+    ///
     /// # Errors
     ///
     /// Same as [`restore`](Self::restore), plus
@@ -1803,50 +1843,56 @@ impl<'p> Simulator<'p> {
         programs: &[&'p Program],
         snapshot: &Snapshot,
     ) -> Result<Self, SimError> {
-        if snapshot.warm.is_some() {
-            return Err(SimError::Snapshot(
-                "warm snapshot holds architectural state only; use fork_warm_mix()".into(),
-            ));
-        }
         let config_id = config_identity(&config);
-        if snapshot.config_hash != config_id {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken under config {:#018x}, not {config_id:#018x}",
-                snapshot.config_hash
-            )));
-        }
         let programs = mix_programs(&config, programs)?;
-        if !same_programs(snapshot, &programs) {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was taken of program(s) {:#018x?}, not {:#018x?}",
-                snapshot.program_hashes,
-                identities(&programs)
-            )));
-        }
+        check_exact_identity(snapshot, config_id, &programs)?;
         check_fit(&config, &programs)?;
-        Self::from_snapshot(config, config_id, programs, snapshot)
-            .map_err(|e| SimError::Snapshot(e.to_string()))
+        let mut sim = Self::build(config_id, config, programs);
+        sim.decode(snapshot)
+            .map_err(|e| SimError::Snapshot(e.to_string()))?;
+        Ok(sim)
     }
 
-    /// Builds the machine an exact snapshot describes, decoding each
-    /// component once, straight from the payload, and recomputing what
-    /// the snapshot omits: the memory-ordering queues (rescanned from
-    /// the restored window), the tag allocator's resident set, and the
-    /// scheduling unit's own indexes (rebuilt inside
-    /// [`SchedulingUnit::restore`]). The caller has checked the
-    /// identities (`config_id` is `config`'s) and [`check_fit`].
-    fn from_snapshot(
-        config: SimConfig,
-        config_id: u64,
-        programs: Vec<&'p Program>,
-        snapshot: &Snapshot,
-    ) -> Result<Self, DecodeError> {
+    /// Replaces this machine's state with an exact
+    /// [`checkpoint`](Self::checkpoint) of a machine of the same
+    /// configuration and programs — the splice a fresh
+    /// [`restore_mix`](Self::restore_mix) makes, without building a
+    /// second machine: every component decodes into the storage it
+    /// already owns, so a machine that has run allocates nothing here.
+    ///
+    /// The snapshot is checked against what the machine holds — its
+    /// configuration identity, its programs' identities, no warm section —
+    /// and the configuration's validity and the programs' fit are not
+    /// re-derived: both were proven when the machine was built.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Snapshot`] if the identities differ or the payload fails
+    /// to decode. On any error the machine is left cold — exactly what
+    /// [`try_new_mix`](Self::try_new_mix) builds — never half-decoded.
+    pub fn restore_into(&mut self, snapshot: &Snapshot) -> Result<(), SimError> {
+        let result =
+            check_exact_identity(snapshot, self.config_id, &self.programs).and_then(|()| {
+                self.decode(snapshot)
+                    .map_err(|e| SimError::Snapshot(e.to_string()))
+            });
+        if result.is_err() {
+            self.reset();
+        }
+        result
+    }
+
+    /// Decodes an exact snapshot's payload into this machine, component by
+    /// component in payload order, and recomputes what the snapshot omits:
+    /// the memory-ordering queues (rescanned from the decoded window), the
+    /// tag allocator's resident set, and the scheduling unit's own indexes
+    /// (rebuilt inside [`SchedulingUnit::decode`]). Each decoder writes
+    /// all of its component's state, so the result does not depend on
+    /// what the machine held before. On error the machine is partly
+    /// decoded; the caller resets or drops it.
+    fn decode(&mut self, snapshot: &Snapshot) -> Result<(), DecodeError> {
         let malformed = DecodeError::Malformed;
-        let threads = config.threads;
-        let multiprogram = programs.len() > 1;
-        let decoded: Vec<&[smt_isa::DecodedInsn]> = (0..threads)
-            .map(|tid| programs[if multiprogram { tid } else { 0 }].decoded())
-            .collect();
+        let threads = self.config.threads;
         let mut r = Reader::new(&snapshot.payload);
         r.expect_section(sec::CORE)?;
         let cycle = r.take_u64()?;
@@ -1856,53 +1902,52 @@ impl<'p> Simulator<'p> {
                 snapshot.cycle
             )));
         }
-        let next_uid = r.take_u64()?;
-        let window = window_size(threads);
+        self.cycle = cycle;
+        self.next_uid = r.take_u64()?;
         let n = r.take_usize()?;
-        if n != window * threads {
+        if n != self.regfile.len() {
             return Err(malformed(format!(
                 "register file of {n} words, partition holds {}",
-                window * threads
+                self.regfile.len()
             )));
         }
-        let mut regfile = Vec::with_capacity(n);
-        for _ in 0..n {
-            regfile.push(r.take_u64()?);
+        for slot in &mut self.regfile {
+            *slot = r.take_u64()?;
         }
         r.expect_section(sec::SU)?;
-        let su = SchedulingUnit::restore(config.su_blocks(), config.block_size, &mut r, &decoded)?;
+        let (programs, multiprogram) = (&self.programs, self.multiprogram);
+        self.su.decode(&mut r, threads, |tid| {
+            programs[if multiprogram { tid } else { 0 }].decoded()
+        })?;
         r.expect_section(sec::FETCH)?;
-        let iu = InstructionUnit::restore(
-            threads,
-            config.fetch_policy,
-            config.fetch_width,
-            config.aligned_fetch,
-            &mut r,
-        )?;
+        self.iu.decode(&mut r)?;
         r.expect_section(sec::PREDICTOR)?;
-        let predictor = Predictor::restore(config.predictor, config.btb_entries, threads, &mut r)?;
+        self.predictor.decode(&mut r)?;
         r.expect_section(sec::FU)?;
-        let fu = FuPool::restore(config.fu, &mut r)?;
+        self.fu.decode(&mut r)?;
         r.expect_section(sec::TAGS)?;
         // Exactly the resident window entries hold live tags: commit
         // frees a store's tag before the store-buffer entry drains, so
         // buffered stores reference already-freed ids.
-        let tags = TagAllocator::restore(config.su_depth, &mut r, &su.resident_tags())?;
+        self.tags.decode(&mut r, self.su.resident_tags())?;
         r.expect_section(sec::CACHE)?;
-        let cache = DataCache::restore(config.cache, &mut r)?;
+        self.cache.decode(&mut r)?;
         r.expect_section(sec::STORE_BUFFER)?;
-        let sb = StoreBuffer::restore(config.store_buffer, &mut r)?;
+        self.sb.decode(&mut r)?;
         r.expect_section(sec::MEMORY)?;
-        let mem = MainMemory::restore_delta(baseline_words(&programs), &mut r)?;
+        self.mem.load_images(self.programs.iter().map(|p| p.data()));
+        self.mem.decode_delta(&mut r)?;
         r.expect_section(sec::FETCH_BUFFER)?;
+        while let Some(group) = self.fetch_queue.pop_front() {
+            self.iu.recycle(group.insns);
+        }
         let queued = r.take_usize()?;
-        if queued > config.fetch_threads {
+        if queued > self.config.fetch_threads {
             return Err(malformed(format!(
                 "{queued} queued fetch groups with {} fetch ports",
-                config.fetch_threads
+                self.config.fetch_threads
             )));
         }
-        let mut fetch_queue = VecDeque::with_capacity(config.fetch_threads);
         for _ in 0..queued {
             let tid = r.take_usize()?;
             if tid >= threads {
@@ -1912,95 +1957,54 @@ impl<'p> Simulator<'p> {
             }
             let fetched_at = r.take_u64()?;
             let n = r.take_usize()?;
-            if n == 0 || n > config.fetch_width {
+            if n == 0 || n > self.config.fetch_width {
                 return Err(malformed(format!(
                     "fetch group of {n} instructions (fetch width {})",
-                    config.fetch_width
+                    self.config.fetch_width
                 )));
             }
-            let mut insns = Vec::with_capacity(n);
+            let text = self.program_of(tid).decoded();
+            let mut insns = self.iu.group_storage();
             for _ in 0..n {
                 let pc = r.take_usize()?;
-                let insn = *decoded[tid].get(pc).ok_or_else(|| {
+                let insn = *text.get(pc).ok_or_else(|| {
                     DecodeError::Malformed(format!("fetch-group pc {pc} outside the program"))
                 })?;
-                let predicted_taken = r.take_bool()?;
-                let predicted_target = r.take_usize()?;
                 insns.push(FetchedInsn {
                     pc,
                     insn,
-                    predicted_taken,
-                    predicted_target,
+                    predicted_taken: r.take_bool()?,
+                    predicted_target: r.take_usize()?,
                 });
             }
-            fetch_queue.push_back(FetchedBlock {
+            self.fetch_queue.push_back(FetchedBlock {
                 tid,
                 insns,
                 fetched_at,
             });
         }
         r.expect_section(sec::STATS)?;
-        let stats = restore_stats(&mut r)?;
-        if stats.committed.len() != threads {
-            return Err(malformed(format!(
-                "commit counters for {} threads, config has {threads}",
-                stats.committed.len()
-            )));
-        }
-        if stats.issue_histogram.len() != config.issue_width + 1 {
-            return Err(malformed(format!(
-                "issue histogram of {} bins for issue width {}",
-                stats.issue_histogram.len(),
-                config.issue_width
-            )));
-        }
+        self.stats
+            .decode(&mut r, threads, self.config.issue_width)?;
         r.finish()?;
 
         // Outstanding (not yet written back) store/sync entries populate
         // the per-thread ordering queues; blocks iterate oldest-first, so
         // each queue comes out age-ordered.
-        let mut memsync = vec![VecDeque::with_capacity(config.su_depth); threads];
-        for bi in 0..su.num_blocks() {
-            let tid = su.block_tid(bi);
-            if tid >= threads {
-                return Err(malformed(format!(
-                    "resident block of thread {tid} in a {threads}-thread run"
-                )));
-            }
-            let bid = su.block_id(bi);
-            for ei in 0..su.block_len(bi) {
-                if su.insn_at(bi, ei).is_memsync() && !su.is_done_at(bi, ei) {
-                    memsync[tid].push_back((bid, ei));
+        self.memsync.iter_mut().for_each(VecDeque::clear);
+        for bi in 0..self.su.num_blocks() {
+            let tid = self.su.block_tid(bi);
+            let bid = self.su.block_id(bi);
+            for ei in 0..self.su.block_len(bi) {
+                if self.su.insn_at(bi, ei).is_memsync() && !self.su.is_done_at(bi, ei) {
+                    self.memsync[tid].push_back((bid, ei));
                 }
             }
         }
-        let (mem_base, mem_span) = segments(&programs, threads);
-        Ok(Simulator {
-            su,
-            iu,
-            predictor,
-            fu,
-            tags,
-            regfile,
-            window,
-            mem,
-            cache,
-            sb,
-            fetch_queue,
-            memsync,
-            decode_buf: Vec::with_capacity(config.block_size),
-            occupancy_buf: vec![0; threads],
-            next_uid,
-            fetch_suppressed: false,
-            stats,
-            cycle,
-            config,
-            config_id,
-            programs,
-            multiprogram,
-            mem_base,
-            mem_span,
-        })
+        self.decode_buf.clear();
+        self.occupancy_buf.fill(0);
+        self.fetch_suppressed = false;
+        Ok(())
     }
 
     /// Renders the full machine state for debugging (threads, fetch buffer,
@@ -2071,7 +2075,8 @@ impl<'p> Simulator<'p> {
 /// Checks that `programs` can run on a machine configured by `config`:
 /// the configuration validates and no program names a register outside
 /// the per-thread window its thread count implies. Cold construction and
-/// restore both call it, so neither admits a machine the other refuses.
+/// a fresh restore both call it, so neither admits a machine the other
+/// refuses; an in-place restore relies on the check its machine passed.
 fn check_fit(config: &SimConfig, programs: &[&Program]) -> Result<(), SimError> {
     config.validate()?;
     let window = window_size(config.threads);
@@ -2116,6 +2121,35 @@ fn identities(programs: &[&Program]) -> Vec<u64> {
     programs.iter().map(|p| p.identity()).collect()
 }
 
+/// Checks that `snapshot` is an exact snapshot of a machine whose
+/// configuration identity is `config_id` and whose program list is
+/// `programs`.
+fn check_exact_identity(
+    snapshot: &Snapshot,
+    config_id: u64,
+    programs: &[&Program],
+) -> Result<(), SimError> {
+    if snapshot.warm.is_some() {
+        return Err(SimError::Snapshot(
+            "warm snapshot holds architectural state only; use fork_warm_mix()".into(),
+        ));
+    }
+    if snapshot.config_hash != config_id {
+        return Err(SimError::Snapshot(format!(
+            "snapshot was taken under config {:#018x}, not {config_id:#018x}",
+            snapshot.config_hash
+        )));
+    }
+    if !same_programs(snapshot, programs) {
+        return Err(SimError::Snapshot(format!(
+            "snapshot was taken of program(s) {:#018x?}, not {:#018x?}",
+            snapshot.program_hashes,
+            identities(programs)
+        )));
+    }
+    Ok(())
+}
+
 /// Whether `snapshot`'s identity vector is [`identities`]`(programs)`,
 /// position by position.
 fn same_programs(snapshot: &Snapshot, programs: &[&Program]) -> bool {
@@ -2158,116 +2192,6 @@ fn segments(programs: &[&Program], threads: usize) -> (Vec<u64>, Vec<u64>) {
         })
         .collect();
     (base, span)
-}
-
-/// Serializes every [`SimStats`] field. The cache and functional-unit
-/// aggregates are copied from their owning structures only by
-/// [`Simulator::run`]'s final fix-up, but they are carried anyway so a
-/// snapshot of an already-finished machine round-trips exactly.
-fn save_stats(stats: &SimStats, w: &mut Writer) {
-    w.put_u64(stats.cycles);
-    w.put_usize(stats.committed.len());
-    for &c in &stats.committed {
-        w.put_u64(c);
-    }
-    w.put_u64(stats.fetched_blocks);
-    w.put_u64(stats.fetch_idle_cycles);
-    w.put_u64(stats.su_stall_cycles);
-    w.put_u64(stats.issued);
-    w.put_u64(stats.store_buffer_full_stalls);
-    w.put_u64(stats.wait_spin_cycles);
-    w.put_u64(stats.squashed);
-    w.put_u64(stats.su_occupancy_sum);
-    w.put_u64(stats.branches.resolved);
-    w.put_u64(stats.branches.mispredicted);
-    w.put_u64(stats.cache.accesses);
-    w.put_u64(stats.cache.hits);
-    w.put_u64(stats.cache.misses);
-    w.put_u64(stats.cache.blocked);
-    w.put_usize(stats.fu.busy_cycles.len());
-    for (class, per_unit) in &stats.fu.busy_cycles {
-        let ci = FuClass::ALL
-            .iter()
-            .position(|c| c == class)
-            .expect("every class is in FuClass::ALL");
-        w.put_usize(ci);
-        w.put_usize(per_unit.len());
-        for &busy in per_unit {
-            w.put_u64(busy);
-        }
-    }
-    w.put_usize(stats.issue_histogram.len());
-    for &bin in &stats.issue_histogram {
-        w.put_u64(bin);
-    }
-}
-
-fn restore_stats(r: &mut Reader<'_>) -> Result<SimStats, DecodeError> {
-    let cycles = r.take_u64()?;
-    let n = r.take_usize()?;
-    let mut committed = Vec::with_capacity(n.min(MAX_THREADS));
-    for _ in 0..n {
-        committed.push(r.take_u64()?);
-    }
-    let fetched_blocks = r.take_u64()?;
-    let fetch_idle_cycles = r.take_u64()?;
-    let su_stall_cycles = r.take_u64()?;
-    let issued = r.take_u64()?;
-    let store_buffer_full_stalls = r.take_u64()?;
-    let wait_spin_cycles = r.take_u64()?;
-    let squashed = r.take_u64()?;
-    let su_occupancy_sum = r.take_u64()?;
-    let branches = crate::stats::BranchStats {
-        resolved: r.take_u64()?,
-        mispredicted: r.take_u64()?,
-    };
-    let cache = CacheStats {
-        accesses: r.take_u64()?,
-        hits: r.take_u64()?,
-        misses: r.take_u64()?,
-        blocked: r.take_u64()?,
-    };
-    let classes = r.take_usize()?;
-    if classes > FuClass::ALL.len() {
-        return Err(DecodeError::Malformed(format!(
-            "{classes} functional-unit classes, machine has {}",
-            FuClass::ALL.len()
-        )));
-    }
-    let mut busy_cycles = Vec::with_capacity(classes);
-    for _ in 0..classes {
-        let ci = r.take_usize()?;
-        let class = *FuClass::ALL.get(ci).ok_or_else(|| {
-            DecodeError::Malformed(format!("functional-unit class index {ci} out of range"))
-        })?;
-        let units = r.take_usize()?;
-        let mut per_unit = Vec::with_capacity(units.min(64));
-        for _ in 0..units {
-            per_unit.push(r.take_u64()?);
-        }
-        busy_cycles.push((class, per_unit));
-    }
-    let bins = r.take_usize()?;
-    let mut issue_histogram = Vec::with_capacity(bins.min(64));
-    for _ in 0..bins {
-        issue_histogram.push(r.take_u64()?);
-    }
-    Ok(SimStats {
-        cycles,
-        committed,
-        fetched_blocks,
-        fetch_idle_cycles,
-        su_stall_cycles,
-        issued,
-        store_buffer_full_stalls,
-        wait_spin_cycles,
-        squashed,
-        su_occupancy_sum,
-        branches,
-        cache,
-        fu: FuUsage { busy_cycles },
-        issue_histogram,
-    })
 }
 
 #[cfg(test)]

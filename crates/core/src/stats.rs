@@ -1,5 +1,6 @@
 //! Statistics collected over a simulation run.
 
+use smt_checkpoint::{DecodeError, Reader, Writer};
 use smt_isa::FuClass;
 use smt_mem::CacheStats;
 
@@ -129,6 +130,146 @@ impl SimStats {
         } else {
             self.su_occupancy_sum as f64 / self.cycles as f64
         }
+    }
+
+    /// The statistics of a machine that has not run: every counter zero,
+    /// one commit counter per thread and `issue_width + 1` histogram bins,
+    /// in the storage these statistics already own.
+    pub(crate) fn reset(&mut self, threads: usize, issue_width: usize) {
+        let mut committed = std::mem::take(&mut self.committed);
+        let mut busy_cycles = std::mem::take(&mut self.fu.busy_cycles);
+        let mut issue_histogram = std::mem::take(&mut self.issue_histogram);
+        committed.clear();
+        committed.resize(threads, 0);
+        busy_cycles.clear();
+        issue_histogram.clear();
+        issue_histogram.resize(issue_width + 1, 0);
+        *self = SimStats {
+            committed,
+            fu: FuUsage { busy_cycles },
+            issue_histogram,
+            ..SimStats::default()
+        };
+    }
+
+    /// Serializes every field. The cache and functional-unit aggregates
+    /// are copied from their owning structures only by the final fix-up
+    /// of a run, but they are carried anyway so a snapshot of an
+    /// already-finished machine round-trips exactly.
+    pub(crate) fn save(&self, w: &mut Writer) {
+        w.put_u64(self.cycles);
+        w.put_usize(self.committed.len());
+        for &c in &self.committed {
+            w.put_u64(c);
+        }
+        w.put_u64(self.fetched_blocks);
+        w.put_u64(self.fetch_idle_cycles);
+        w.put_u64(self.su_stall_cycles);
+        w.put_u64(self.issued);
+        w.put_u64(self.store_buffer_full_stalls);
+        w.put_u64(self.wait_spin_cycles);
+        w.put_u64(self.squashed);
+        w.put_u64(self.su_occupancy_sum);
+        w.put_u64(self.branches.resolved);
+        w.put_u64(self.branches.mispredicted);
+        w.put_u64(self.cache.accesses);
+        w.put_u64(self.cache.hits);
+        w.put_u64(self.cache.misses);
+        w.put_u64(self.cache.blocked);
+        w.put_usize(self.fu.busy_cycles.len());
+        for (class, per_unit) in &self.fu.busy_cycles {
+            let ci = FuClass::ALL
+                .iter()
+                .position(|c| c == class)
+                .expect("every class is in FuClass::ALL");
+            w.put_usize(ci);
+            w.put_usize(per_unit.len());
+            for &busy in per_unit {
+                w.put_u64(busy);
+            }
+        }
+        w.put_usize(self.issue_histogram.len());
+        for &bin in &self.issue_histogram {
+            w.put_u64(bin);
+        }
+    }
+
+    /// Replaces every field with [`save`](Self::save)d statistics of a
+    /// machine with `threads` threads and issue width `issue_width`,
+    /// reusing the storage these statistics own. Every field is written,
+    /// so no reset need precede it.
+    pub(crate) fn decode(
+        &mut self,
+        r: &mut Reader<'_>,
+        threads: usize,
+        issue_width: usize,
+    ) -> Result<(), DecodeError> {
+        self.cycles = r.take_u64()?;
+        let n = r.take_usize()?;
+        if n != threads {
+            return Err(DecodeError::Malformed(format!(
+                "commit counters for {n} threads, config has {threads}"
+            )));
+        }
+        self.committed.clear();
+        for _ in 0..n {
+            self.committed.push(r.take_u64()?);
+        }
+        self.fetched_blocks = r.take_u64()?;
+        self.fetch_idle_cycles = r.take_u64()?;
+        self.su_stall_cycles = r.take_u64()?;
+        self.issued = r.take_u64()?;
+        self.store_buffer_full_stalls = r.take_u64()?;
+        self.wait_spin_cycles = r.take_u64()?;
+        self.squashed = r.take_u64()?;
+        self.su_occupancy_sum = r.take_u64()?;
+        self.branches = BranchStats {
+            resolved: r.take_u64()?,
+            mispredicted: r.take_u64()?,
+        };
+        self.cache = CacheStats {
+            accesses: r.take_u64()?,
+            hits: r.take_u64()?,
+            misses: r.take_u64()?,
+            blocked: r.take_u64()?,
+        };
+        let classes = r.take_usize()?;
+        if classes > FuClass::ALL.len() {
+            return Err(DecodeError::Malformed(format!(
+                "{classes} functional-unit classes, machine has {}",
+                FuClass::ALL.len()
+            )));
+        }
+        let busy_cycles = &mut self.fu.busy_cycles;
+        busy_cycles.truncate(classes);
+        for i in 0..classes {
+            let ci = r.take_usize()?;
+            let class = *FuClass::ALL.get(ci).ok_or_else(|| {
+                DecodeError::Malformed(format!("functional-unit class index {ci} out of range"))
+            })?;
+            if i == busy_cycles.len() {
+                busy_cycles.push((class, Vec::new()));
+            }
+            let (slot_class, per_unit) = &mut busy_cycles[i];
+            *slot_class = class;
+            per_unit.clear();
+            let units = r.take_usize()?;
+            per_unit.reserve(units.min(64));
+            for _ in 0..units {
+                per_unit.push(r.take_u64()?);
+            }
+        }
+        let bins = r.take_usize()?;
+        if bins != issue_width + 1 {
+            return Err(DecodeError::Malformed(format!(
+                "issue histogram of {bins} bins for issue width {issue_width}"
+            )));
+        }
+        self.issue_histogram.clear();
+        for _ in 0..bins {
+            self.issue_histogram.push(r.take_u64()?);
+        }
+        Ok(())
     }
 }
 

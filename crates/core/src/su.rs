@@ -382,49 +382,107 @@ impl SchedulingUnit {
             slots * 2 < NO_SRC as usize,
             "unit too large for u16 handles"
         );
-        let dummy = DecodedInsn::new(smt_isa::Instruction::halt());
-        SchedulingUnit {
+        let mut su = SchedulingUnit {
             capacity_blocks,
             block_size,
             shift,
             col_mask: stride - 1,
             next_block_id: 0,
             entries_count: 0,
-            order: Vec::with_capacity(capacity_blocks),
-            free: (0..capacity_blocks as u16).rev().collect(),
-            row_id: vec![u64::MAX; capacity_blocks],
-            row_tid: vec![0; capacity_blocks],
-            row_len: vec![0; capacity_blocks],
-            row_faulted: vec![false; capacity_blocks],
-            mask_unissued: vec![0; capacity_blocks],
-            mask_ready: vec![0; capacity_blocks],
-            mask_done: vec![0; capacity_blocks],
-            row_full: vec![0; capacity_blocks],
-            mask_ctrl: vec![0; capacity_blocks],
-            tag: vec![0; slots],
-            uid: vec![0; slots],
-            pc: vec![0; slots],
-            insn: vec![dummy; slots],
-            ops: vec![[Operand::Unused; 2]; slots],
-            wait_src: vec![[NO_SRC; 2]; slots],
-            done_at: vec![0; slots],
-            result: vec![0; slots],
-            mem_addr: vec![0; slots],
-            fault: vec![None; slots],
-            predicted_target: vec![0; slots],
-            target: vec![0; slots],
-            flags: vec![0; slots],
-            waiter_head: vec![NO_SRC; slots],
-            waiter_next: vec![NO_SRC; slots * 2],
+            order: Vec::new(),
+            free: Vec::new(),
+            row_id: Vec::new(),
+            row_tid: Vec::new(),
+            row_len: Vec::new(),
+            row_faulted: Vec::new(),
+            mask_unissued: Vec::new(),
+            mask_ready: Vec::new(),
+            mask_done: Vec::new(),
+            row_full: Vec::new(),
+            mask_ctrl: Vec::new(),
+            tag: Vec::new(),
+            uid: Vec::new(),
+            pc: Vec::new(),
+            insn: Vec::new(),
+            ops: Vec::new(),
+            wait_src: Vec::new(),
+            done_at: Vec::new(),
+            result: Vec::new(),
+            mem_addr: Vec::new(),
+            fault: Vec::new(),
+            predicted_target: Vec::new(),
+            target: Vec::new(),
+            flags: Vec::new(),
+            waiter_head: Vec::new(),
+            waiter_next: Vec::new(),
             fwd_head: [NO_SRC; FWD_BUCKETS],
-            fwd_next: vec![NO_SRC; slots],
-            prod_tail: vec![NO_SRC; MAX_THREADS * REG_FILE_SIZE],
-            prod_prev: vec![NO_SRC; slots],
-            prod_next: vec![NO_SRC; slots],
-            completions: Vec::with_capacity(slots),
+            fwd_next: Vec::new(),
+            prod_tail: Vec::new(),
+            prod_prev: Vec::new(),
+            prod_next: Vec::new(),
+            completions: Vec::new(),
             comp_head: 0,
-            squash_buf: Vec::with_capacity(slots),
+            squash_buf: Vec::new(),
+        };
+        su.reset();
+        su
+    }
+
+    /// Empties the unit into its cold state — no block resident, every
+    /// slot and index at its initial value, the free list in its initial
+    /// order — keeping its storage: a unit that has run allocates nothing
+    /// here.
+    pub fn reset(&mut self) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+            v.clear();
+            v.resize(n, value);
         }
+        let rows = self.capacity_blocks;
+        let slots = rows << self.shift;
+        self.next_block_id = 0;
+        self.entries_count = 0;
+        self.order.clear();
+        self.order.reserve(rows);
+        self.free.clear();
+        self.free.extend((0..rows as u16).rev());
+        refill(&mut self.row_id, rows, u64::MAX);
+        refill(&mut self.row_tid, rows, 0);
+        refill(&mut self.row_len, rows, 0);
+        refill(&mut self.row_faulted, rows, false);
+        refill(&mut self.mask_unissued, rows, 0);
+        refill(&mut self.mask_ready, rows, 0);
+        refill(&mut self.mask_done, rows, 0);
+        refill(&mut self.row_full, rows, 0);
+        refill(&mut self.mask_ctrl, rows, 0);
+        refill(&mut self.tag, slots, 0);
+        refill(&mut self.uid, slots, 0);
+        refill(&mut self.pc, slots, 0);
+        refill(
+            &mut self.insn,
+            slots,
+            DecodedInsn::new(smt_isa::Instruction::halt()),
+        );
+        refill(&mut self.ops, slots, [Operand::Unused; 2]);
+        refill(&mut self.wait_src, slots, [NO_SRC; 2]);
+        refill(&mut self.done_at, slots, 0);
+        refill(&mut self.result, slots, 0);
+        refill(&mut self.mem_addr, slots, 0);
+        refill(&mut self.fault, slots, None);
+        refill(&mut self.predicted_target, slots, 0);
+        refill(&mut self.target, slots, 0);
+        refill(&mut self.flags, slots, 0);
+        refill(&mut self.waiter_head, slots, NO_SRC);
+        refill(&mut self.waiter_next, slots * 2, NO_SRC);
+        self.fwd_head = [NO_SRC; FWD_BUCKETS];
+        refill(&mut self.fwd_next, slots, NO_SRC);
+        refill(&mut self.prod_tail, MAX_THREADS * REG_FILE_SIZE, NO_SRC);
+        refill(&mut self.prod_prev, slots, NO_SRC);
+        refill(&mut self.prod_next, slots, NO_SRC);
+        self.completions.clear();
+        self.completions.reserve(slots);
+        self.comp_head = 0;
+        self.squash_buf.clear();
+        self.squash_buf.reserve(slots);
     }
 
     // ---- geometry helpers -----------------------------------------------------------
@@ -1349,16 +1407,11 @@ impl SchedulingUnit {
 
     /// Raw tags of every resident entry, oldest block first — feeds the
     /// tag allocator's liveness check on snapshot restore.
-    #[must_use]
-    pub fn resident_tags(&self) -> Vec<u64> {
-        let mut tags = Vec::with_capacity(self.entries_count);
-        for &r in &self.order {
+    pub fn resident_tags(&self) -> impl Iterator<Item = u64> + '_ {
+        self.order.iter().flat_map(move |&r| {
             let row = r as usize;
-            for c in 0..self.row_len[row] as usize {
-                tags.push(self.tag[(row << self.shift) | c]);
-            }
-        }
-        tags
+            (0..self.row_len[row] as usize).map(move |c| self.tag[(row << self.shift) | c])
+        })
     }
 
     // ---- checkpointing --------------------------------------------------------------
@@ -1429,64 +1482,74 @@ impl SchedulingUnit {
         }
     }
 
-    /// Rebuilds a unit from [`save`](Self::save)d state, re-deriving every
-    /// index (masks, waiter links, producers, completions, forwarding
-    /// chains) from the serialized entry contents. Fails closed on any
-    /// structural inconsistency — including a waiting operand whose
-    /// producer is not resident, which no genuine snapshot can contain.
-    /// `decoded` holds one predecoded instruction table per thread
-    /// (heterogeneous mixes run a distinct program per thread; a
-    /// homogeneous run passes the same table for every slot), so each
+    /// Replaces the unit's contents with [`save`](Self::save)d state: a
+    /// [`reset`](Self::reset), then each block decoded into the next free
+    /// row, re-deriving every index (masks, waiter links, producers,
+    /// completions, forwarding chains) from the serialized entry contents.
+    /// Fails closed on any structural inconsistency — including resident
+    /// tags that do not ascend in window order (decode allocates them in
+    /// that order) and a waiting operand whose producer is not an older
+    /// resident entry, neither of which a genuine snapshot can contain. On
+    /// error the unit holds a partial decode; reset it before use.
+    /// `text(tid)` is the predecoded text thread `tid < threads` runs
+    /// (heterogeneous mixes run a distinct program per thread), so each
     /// entry's instruction is recovered from its *owning thread's* text.
-    pub fn restore(
-        capacity_blocks: usize,
-        block_size: usize,
+    pub fn decode<'t>(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-        decoded: &[&[DecodedInsn]],
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
+        threads: usize,
+        text: impl Fn(usize) -> &'t [DecodedInsn],
+    ) -> Result<(), smt_checkpoint::DecodeError> {
         let malformed = |what: String| -> smt_checkpoint::DecodeError {
             smt_checkpoint::DecodeError::Malformed(what)
         };
-        debug_assert!(
-            decoded.len() <= MAX_THREADS,
-            "more threads than the rename index"
-        );
-        let mut su = SchedulingUnit::new(capacity_blocks, block_size);
+        debug_assert!(threads <= MAX_THREADS, "more threads than the rename index");
+        self.reset();
         let next_block_id = r.take_u64()?;
         let n_blocks = r.take_usize()?;
-        if n_blocks > capacity_blocks {
+        if n_blocks > self.capacity_blocks {
             return Err(malformed(format!(
-                "{n_blocks} blocks for a {capacity_blocks}-block unit"
+                "{n_blocks} blocks for a {}-block unit",
+                self.capacity_blocks
             )));
         }
+        let mut last_tag = None;
         for _ in 0..n_blocks {
             let id = r.take_u64()?;
             let tid = r.take_usize()?;
             let n_entries = r.take_usize()?;
-            if n_entries == 0 || n_entries > block_size {
+            if n_entries == 0 || n_entries > self.block_size {
                 return Err(malformed(format!(
-                    "block of {n_entries} entries (block size {block_size})"
+                    "block of {n_entries} entries (block size {})",
+                    self.block_size
                 )));
             }
-            if id < su.next_block_id || id >= next_block_id {
+            if id < self.next_block_id || id >= next_block_id {
                 return Err(malformed(format!("non-monotone block id {id}")));
             }
-            let text = *decoded.get(tid).ok_or_else(|| {
-                malformed(format!(
-                    "block of thread {tid} in a {}-thread run",
-                    decoded.len()
-                ))
-            })?;
-            let row = su.free.pop().expect("capacity checked above") as usize;
-            su.row_id[row] = id;
-            su.row_tid[row] = tid as u8;
-            su.row_len[row] = n_entries as u8;
-            su.next_block_id = id + 1;
+            if tid >= threads {
+                return Err(malformed(format!(
+                    "block of thread {tid} in a {threads}-thread run"
+                )));
+            }
+            let text = text(tid);
+            let row = self.free.pop().expect("capacity checked above") as usize;
+            self.row_id[row] = id;
+            self.row_tid[row] = tid as u8;
+            self.row_len[row] = n_entries as u8;
+            self.next_block_id = id + 1;
             let mut fault_seen = false;
             for ei in 0..n_entries {
-                let h = (row << su.shift) | ei;
-                su.tag[h] = r.take_u64()?;
-                su.uid[h] = r.take_u64()?;
+                let h = (row << self.shift) | ei;
+                let tag = r.take_u64()?;
+                if last_tag.is_some_and(|last| tag <= last) {
+                    return Err(malformed(format!(
+                        "resident tag {tag} does not ascend in window order"
+                    )));
+                }
+                last_tag = Some(tag);
+                self.tag[h] = tag;
+                self.uid[h] = r.take_u64()?;
                 let etid = r.take_usize()?;
                 if etid != tid {
                     return Err(malformed(format!(
@@ -1494,12 +1557,12 @@ impl SchedulingUnit {
                     )));
                 }
                 let pc = r.take_usize()?;
-                su.insn[h] = *text
+                self.insn[h] = *text
                     .get(pc)
                     .ok_or_else(|| malformed(format!("entry pc {pc} outside program text")))?;
-                su.pc[h] = pc as u32;
+                self.pc[h] = pc as u32;
                 for k in 0..2 {
-                    su.ops[h][k] = match r.take_u8()? {
+                    self.ops[h][k] = match r.take_u8()? {
                         0 => Operand::Unused,
                         1 => Operand::Ready {
                             value: r.take_u64()?,
@@ -1510,32 +1573,31 @@ impl SchedulingUnit {
                         },
                         v => return Err(malformed(format!("operand discriminant {v}"))),
                     };
-                    su.wait_src[h][k] = NO_SRC;
                 }
                 let bit = 1u32 << ei;
                 match r.take_u8()? {
-                    0 => su.mask_unissued[row] |= bit,
+                    0 => self.mask_unissued[row] |= bit,
                     1 => {
-                        su.done_at[h] = r.take_u64()?;
-                        su.insert_completion((su.done_at[h], id, h as u16));
+                        self.done_at[h] = r.take_u64()?;
+                        self.insert_completion((self.done_at[h], id, h as u16));
                     }
-                    2 => su.mask_done[row] |= bit,
+                    2 => self.mask_done[row] |= bit,
                     v => return Err(malformed(format!("entry state discriminant {v}"))),
                 }
-                su.result[h] = r.take_u64()?;
+                self.result[h] = r.take_u64()?;
                 let mut flags = 0u8;
                 if r.take_bool()? {
                     flags |= F_PRED_TAKEN;
                 }
-                su.predicted_target[h] = r.take_usize()? as u32;
+                self.predicted_target[h] = r.take_usize()? as u32;
                 if r.take_bool()? {
                     flags |= F_TAKEN;
                 }
-                su.target[h] = r.take_usize()? as u32;
+                self.target[h] = r.take_usize()? as u32;
                 if r.take_bool()? {
                     flags |= F_MISPREDICTED;
                 }
-                su.fault[h] = match r.take_u8()? {
+                self.fault[h] = match r.take_u8()? {
                     0 => None,
                     1 => Some(smt_mem::MemError::OutOfBounds {
                         addr: r.take_u64()?,
@@ -1546,8 +1608,8 @@ impl SchedulingUnit {
                     }),
                     v => return Err(malformed(format!("fault discriminant {v}"))),
                 };
-                fault_seen |= su.fault[h].is_some();
-                su.mem_addr[h] = r.take_u64()?;
+                fault_seen |= self.fault[h].is_some();
+                self.mem_addr[h] = r.take_u64()?;
                 if r.take_bool()? {
                     flags |= F_STORE_BUFFERED;
                 }
@@ -1557,80 +1619,71 @@ impl SchedulingUnit {
                 if r.take_bool()? {
                     flags |= F_DCACHE_MISS;
                 }
-                su.flags[h] = flags;
-                if su.insn[h].is_control() {
-                    su.mask_ctrl[row] |= bit;
+                self.flags[h] = flags;
+                if self.insn[h].is_control() {
+                    self.mask_ctrl[row] |= bit;
                 }
             }
-            su.row_faulted[row] = fault_seen;
-            su.row_full[row] = low_mask(n_entries);
+            self.row_faulted[row] = fault_seen;
+            self.row_full[row] = low_mask(n_entries);
+            self.entries_count += n_entries;
+            self.order.push(row as u16);
             // Resolve waiting operands to producer handles and rebuild the
-            // wakeup, ready, rename, and forwarding indexes. Producers of
-            // an operand are always older than their consumer, so they are
+            // wakeup, ready, rename, and forwarding indexes. A producer is
+            // older than its consumer, so its tag is smaller and it is
             // already placed (earlier block, or earlier slot of this row).
             for ei in 0..n_entries {
-                let h = (row << su.shift) | ei;
+                let h = (row << self.shift) | ei;
                 let mut waiting = false;
                 for k in 0..2 {
-                    if let Operand::Waiting { tag } = su.ops[h][k] {
+                    if let Operand::Waiting { tag } = self.ops[h][k] {
                         waiting = true;
-                        let p = su.find_resident_tag(tag.raw(), row, ei).ok_or_else(|| {
-                            malformed(format!(
-                                "waiting operand with no resident producer (tag {})",
-                                tag.raw()
-                            ))
-                        })?;
-                        su.wait_src[h][k] = p;
-                        su.link_waiter(h, k);
+                        let p = (tag.raw() < self.tag[h])
+                            .then(|| self.resident_handle(tag.raw()))
+                            .flatten()
+                            .ok_or_else(|| {
+                                malformed(format!(
+                                    "waiting operand with no older resident producer (tag {})",
+                                    tag.raw()
+                                ))
+                            })?;
+                        self.wait_src[h][k] = p;
+                        self.link_waiter(h, k);
                     }
                 }
-                if !waiting && su.mask_unissued[row] & (1 << ei) != 0 {
-                    su.mask_ready[row] |= 1 << ei;
+                if !waiting && self.mask_unissued[row] & (1 << ei) != 0 {
+                    self.mask_ready[row] |= 1 << ei;
                 }
-                if let Some(reg) = su.insn[h].dest {
-                    su.index_producer(tid, reg, h);
+                if let Some(reg) = self.insn[h].dest {
+                    self.index_producer(tid, reg, h);
                 }
-            }
-            su.entries_count += n_entries;
-            su.order.push(row as u16);
-            // Rebuild the forwarding index here so the simulator does not
-            // have to: chains hold every completed unfaulted store, placed
-            // by age key once its row has joined the ring.
-            for ei in 0..n_entries {
-                let h = (row << su.shift) | ei;
-                if su.insn[h].op == smt_isa::Opcode::Sd
-                    && su.mask_done[row] & (1 << ei) != 0
-                    && su.fault[h].is_none()
+                // Chains hold every completed unfaulted store, placed by
+                // age key now that its row has joined the ring.
+                if self.insn[h].op == smt_isa::Opcode::Sd
+                    && self.mask_done[row] & (1 << ei) != 0
+                    && self.fault[h].is_none()
                 {
-                    let bi = su.order.len() - 1;
-                    su.fwd_insert(bi, ei);
+                    self.fwd_insert(self.order.len() - 1, ei);
                 }
             }
         }
-        su.next_block_id = next_block_id;
-        Ok(su)
+        self.next_block_id = next_block_id;
+        Ok(())
     }
 
-    /// Handle of the resident entry carrying raw tag `t`, searching every
-    /// ringed row plus slots `0..limit` of `extra_row` (the row being
-    /// restored). Cold path: only snapshot restore uses it.
-    fn find_resident_tag(&self, t: u64, extra_row: usize, limit: usize) -> Option<u16> {
-        for &r in &self.order {
-            let row = r as usize;
-            for c in 0..self.row_len[row] as usize {
-                let h = (row << self.shift) | c;
-                if self.tag[h] == t {
-                    return Some(h as u16);
-                }
-            }
-        }
-        for c in 0..limit {
-            let h = (extra_row << self.shift) | c;
-            if self.tag[h] == t {
-                return Some(h as u16);
-            }
-        }
-        None
+    /// Handle of the resident entry carrying raw tag `t`: a binary search
+    /// of the ring by each row's first tag, then a scan of that row. Sound
+    /// because [`decode`](Self::decode) admits only tags that ascend in
+    /// window order, as decode allocates them. Cold path: only snapshot
+    /// decode uses it.
+    fn resident_handle(&self, t: u64) -> Option<u16> {
+        let first_tag = |r: &u16| self.tag[(*r as usize) << self.shift];
+        let above = self.order.partition_point(|r| first_tag(r) <= t);
+        let row = *self.order.get(above.checked_sub(1)?)? as usize;
+        (0..self.row_len[row] as usize)
+            .map(|c| (row << self.shift) | c)
+            .find(|&h| self.tag[h] == t)
+            .map(|h| h as u16)
     }
 }
 

@@ -14,6 +14,8 @@
 //! cargo run --release -p smt-experiments --bin report -- --perf results/report_perf.json
 //! ```
 
+use std::fs::File;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -29,14 +31,36 @@ const FLAGS: Flags = Flags {
     positionals: 0,
 };
 
-fn write_file(path: &str, contents: &str) -> Result<(), String> {
-    let write = || {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, contents)
-    };
-    write().map_err(|e| format!("cannot write {path}: {e}"))
+/// An output file named by `flag`, created (with its directory) before
+/// any simulation runs, so a path that cannot be written is refused up
+/// front rather than after the whole report.
+struct Output<'a> {
+    path: &'a str,
+    file: File,
+}
+
+impl<'a> Output<'a> {
+    fn create(args: &'a Args, flag: &str) -> Result<Option<Self>, String> {
+        let Some(path) = args.value(flag) else {
+            return Ok(None);
+        };
+        let create = || {
+            if let Some(dir) = std::path::Path::new(path).parent() {
+                std::fs::create_dir_all(dir)?;
+            }
+            File::create(path)
+        };
+        let file = create().map_err(|e| format!("{flag}: cannot write {path}: {e}"))?;
+        Ok(Some(Output { path, file }))
+    }
+
+    fn write(mut self, contents: &str) -> Result<(), String> {
+        self.file
+            .write_all(contents.as_bytes())
+            .map_err(|e| format!("cannot write {}: {e}", self.path))?;
+        eprintln!("[report] wrote {}", self.path);
+        Ok(())
+    }
 }
 
 fn main() -> ExitCode {
@@ -52,6 +76,12 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     let serial = args.switch("--serial");
     let workers = args.workers()?;
     let workers = if serial { 1 } else { workers };
+    // Both outputs are open for the whole run; one file cannot be both.
+    if args.value("--json").is_some() && args.value("--json") == args.value("--perf") {
+        return Err("--json and --perf name the same file".into());
+    }
+    let json_out = Output::create(args, "--json")?;
+    let perf_out = Output::create(args, "--perf")?;
 
     let start = Instant::now();
     let mut runner = Runner::new(scale);
@@ -98,11 +128,10 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         cycles as f64 / wall
     );
 
-    if let Some(path) = args.value("--json") {
-        write_file(path, &json::tables_to_json(&tables))?;
-        eprintln!("[report] wrote {path}");
+    if let Some(out) = json_out {
+        out.write(&json::tables_to_json(&tables))?;
     }
-    if let Some(path) = args.value("--perf") {
+    if let Some(out) = perf_out {
         let perf = json::object_to_json(&[
             ("scale", Cell::Text(format!("{scale:?}"))),
             ("serial", Cell::Bool(serial)),
@@ -115,8 +144,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 Cell::Float(cycles as f64 / wall),
             ),
         ]);
-        write_file(path, &perf)?;
-        eprintln!("[report] wrote {path}");
+        out.write(&perf)?;
     }
     Ok(ExitCode::SUCCESS)
 }

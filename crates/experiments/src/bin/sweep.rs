@@ -20,8 +20,8 @@
 //! ```
 //!
 //! `--grid hetero` sweeps corpus kernels and heterogeneous per-thread
-//! mixes; it loads the workload corpus from `corpus/` unless `--corpus
-//! <dir>` points elsewhere.
+//! mixes; it, like a `--search` of a corpus kernel, loads the workload
+//! corpus from `corpus/` unless `--corpus <dir>` points elsewhere.
 //!
 //! `--search <workload>` switches from exhaustive sweeping to the
 //! deterministic Pareto search: seeded hill climbing over the
@@ -62,18 +62,31 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     let out = Path::new(args.required("--out")?);
     let grid =
         Grid::named(args.value("--grid").unwrap_or("smoke")).map_err(|e| format!("--grid: {e}"))?;
-    // A grid that names corpus kernels (the hetero grid) defaults the
-    // corpus to the repository's `corpus/` directory; any grid accepts an
-    // explicit `--corpus <dir>`.
+    let search = args.parse_with("--search", WorkSpec::parse)?;
+    // A grid or search that names corpus kernels (the hetero grid)
+    // defaults the corpus to the repository's `corpus/` directory; either
+    // accepts an explicit `--corpus <dir>`.
     let names_corpus = grid
         .workloads
         .iter()
+        .chain(&search)
         .flat_map(WorkSpec::refs)
         .any(|r| matches!(r, WorkRef::Corpus(_)));
     let opts = args.sweep_options(names_corpus.then_some("corpus"))?;
     let io_error = |e: std::io::Error| format!("--out {}: {e}", out.display());
 
-    if let Some(work) = args.parse_with("--search", WorkSpec::parse)? {
+    if let Some(work) = search {
+        // A kernel the corpus lacks would make every evaluation infeasible.
+        for r in work.refs() {
+            if let WorkRef::Corpus(name) = r {
+                if opts.corpus.as_ref().is_none_or(|c| c.get(name).is_none()) {
+                    return Err(format!(
+                        "--search: {name:?} is neither a built-in benchmark nor a kernel \
+                         of the corpus"
+                    ));
+                }
+            }
+        }
         let threads = args.get("--threads")?.unwrap_or(4);
         let machine = SimConfig::default().with_threads(threads);
         machine.validate().map_err(|e| format!("--threads: {e}"))?;

@@ -32,6 +32,11 @@ fn malformed_command_lines_exit_2_naming_the_culprit() {
         (sweep, "--out o --search laplace --threads 0", "--threads"),
         (sweep, "--out o --grid hetero", "directory `corpus`"),
         (sweep, "--out o --grid hetero", "pass --corpus <dir>"),
+        (
+            sweep,
+            "--out o --search bogus --scale test",
+            "directory `corpus`",
+        ),
         (fuzz, "--bogus", "`--bogus`"),
         (fuzz, "--checkpoint_every 50", "`--checkpoint_every`"),
         (fuzz, "--seeds", "--seeds needs a value"),
@@ -39,6 +44,11 @@ fn malformed_command_lines_exit_2_naming_the_culprit() {
         (report, "--bogus", "`--bogus`"),
         (report, "--test --workers", "--workers needs a value"),
         (report, "--test --workers x", "--workers: cannot parse `x`"),
+        (
+            report,
+            "--test --json r.json --perf r.json",
+            "--json and --perf name the same file",
+        ),
         (corpus_check, "--bogus", "`--bogus`"),
         (corpus_check, "--corpus", "--corpus needs a value"),
         (corpus_check, "--scale bogus", "--scale: unknown scale"),
@@ -47,7 +57,41 @@ fn malformed_command_lines_exit_2_naming_the_culprit() {
         let args = line.split_whitespace();
         assert_refused(Command::new(exe).current_dir(&cwd).args(args), culprit);
     }
+    // With the corpus attached, a search kernel it lacks is refused before
+    // the climb starts.
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+    assert_refused(
+        Command::new(sweep)
+            .current_dir(&cwd)
+            .args(["--out", "o", "--search", "bogus", "--scale", "test"])
+            .args(["--corpus", corpus]),
+        "\"bogus\" is neither a built-in benchmark nor a kernel of the corpus",
+    );
     let left = std::fs::read_dir(&cwd).expect("scratch dir").count();
     assert_eq!(left, 0, "a refused command line does no work");
     let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn unwritable_report_outputs_are_refused_before_any_simulation() {
+    let dir = std::env::temp_dir().join(format!("smt-report-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // A regular file where each output's directory should be.
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "").expect("blocker file");
+    let report = env!("CARGO_BIN_EXE_report");
+    for flag in ["--json", "--perf"] {
+        let stderr = assert_refused(
+            Command::new(report)
+                .args(["--test", flag])
+                .arg(blocker.join("out.json")),
+            flag,
+        );
+        assert!(
+            !stderr.contains("generating"),
+            "{flag}: no table may be generated: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

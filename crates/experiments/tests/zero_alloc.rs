@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use smt_core::{SimConfig, Simulator};
+use smt_core::{FetchPolicy, PredictorKind, RenamingMode, SimConfig, Simulator};
 use smt_workloads::{workload, Scale, WorkloadKind};
 
 /// Counts allocation events (alloc + realloc); frees are not interesting
@@ -45,10 +45,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocation events across `cycles` steps of a warmed-up simulation.
+/// Allocation events across `cycles` steps of a warmed-up simulation of
+/// the default 4-thread machine.
 fn steady_state_allocs(kind: WorkloadKind, warmup: u64, cycles: u64) -> u64 {
-    let program = workload(kind, Scale::Paper).build(4).expect("kernel fits");
-    let mut sim = Simulator::new(SimConfig::default(), &program);
+    steady_state_allocs_under(SimConfig::default(), kind, warmup, cycles)
+}
+
+/// Allocation events across `cycles` steps of a warmed-up simulation under
+/// `config`.
+fn steady_state_allocs_under(
+    config: SimConfig,
+    kind: WorkloadKind,
+    warmup: u64,
+    cycles: u64,
+) -> u64 {
+    let program = workload(kind, Scale::Paper)
+        .build(config.threads)
+        .expect("kernel fits");
+    let mut sim = Simulator::new(config, &program);
     for _ in 0..warmup {
         assert!(!sim.finished(), "workload too short to reach steady state");
         sim.step().expect("steps");
@@ -74,4 +88,31 @@ fn ll7_steady_state_makes_no_heap_allocations() {
     // drive different queue high-water marks, and it too settles to zero.
     // (The whole paper-scale run is 9063 cycles, so the window is smaller.)
     assert_eq!(steady_state_allocs(WorkloadKind::Ll7, 2_000, 5_000), 0);
+}
+
+#[test]
+fn two_port_eight_wide_fetch_steady_state_makes_no_heap_allocations() {
+    // An 8-wide fetch group is wider than a 4-entry scheduling-unit block,
+    // so decode drains it over two cycles; the remainder must keep the
+    // group's own storage.
+    let config = SimConfig::default()
+        .with_fetch_policy(FetchPolicy::Icount)
+        .with_predictor(PredictorKind::Gshare)
+        .with_fetch_threads(2)
+        .with_fetch_width(8);
+    assert_eq!(
+        steady_state_allocs_under(config, WorkloadKind::Matrix, 2_000, 10_000),
+        0
+    );
+}
+
+#[test]
+fn scoreboard_renaming_steady_state_makes_no_heap_allocations() {
+    // Scoreboard renaming holds the rest of a group whose operand is still
+    // in flight; the held remainder must keep the group's own storage.
+    let config = SimConfig::default().with_renaming(RenamingMode::Scoreboard);
+    assert_eq!(
+        steady_state_allocs_under(config, WorkloadKind::Matrix, 2_000, 10_000),
+        0
+    );
 }

@@ -214,15 +214,29 @@ impl DataCache {
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         assert!(config.mshrs > 0, "cache needs at least one refill slot");
-        DataCache {
+        let mut cache = DataCache {
             config,
-            lines: vec![0; sets * config.ways],
-            fill: vec![0; sets],
+            lines: Vec::new(),
+            fill: Vec::new(),
             set_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
             refills: Vec::with_capacity(config.mshrs),
             stats: CacheStats::default(),
-        }
+        };
+        cache.reset();
+        cache
+    }
+
+    /// Returns the cache to its cold state — every line invalid, no
+    /// refill in flight, zeroed statistics — keeping its storage.
+    pub fn reset(&mut self) {
+        let sets = self.set_mask as usize + 1;
+        self.lines.clear();
+        self.lines.resize(sets * self.config.ways, 0);
+        self.fill.clear();
+        self.fill.resize(sets, 0);
+        self.refills.clear();
+        self.stats = CacheStats::default();
     }
 
     /// The cache geometry.
@@ -360,43 +374,44 @@ impl DataCache {
         w.put_u64(self.stats.blocked);
     }
 
-    /// Rebuilds a cache for `config` from [`save`](Self::save)d state,
-    /// refusing any set count, line count or refill set index the
-    /// geometry does not have.
-    pub fn restore(
-        config: CacheConfig,
+    /// Replaces the state with [`save`](Self::save)d state, refusing any
+    /// set count, line count or refill set index the geometry does not
+    /// have. Every line is written, the invalid ones zeroed as
+    /// [`reset`](Self::reset) leaves them, so no reset need precede it.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
+    ) -> Result<(), smt_checkpoint::DecodeError> {
         let malformed = smt_checkpoint::DecodeError::Malformed;
-        let mut cache = DataCache::new(config);
-        let sets = cache.fill.len();
+        let sets = self.fill.len();
+        let ways = self.config.ways;
         let n_sets = r.take_usize()?;
         if n_sets != sets {
             return Err(malformed(format!(
                 "cache: {n_sets} serialized sets, geometry has {sets}"
             )));
         }
-        for set in 0..sets {
-            let ways = r.take_usize()?;
-            if ways > config.ways {
+        for (set, lines) in self.lines.chunks_exact_mut(ways).enumerate() {
+            let valid = r.take_usize()?;
+            if valid > ways {
                 return Err(malformed(format!(
-                    "cache: set holds {ways} lines, geometry allows {}",
-                    config.ways
+                    "cache: set holds {valid} lines, geometry allows {ways}"
                 )));
             }
-            let base = set * config.ways;
-            for line in &mut cache.lines[base..base + ways] {
+            for line in &mut lines[..valid] {
                 *line = r.take_u64()?;
             }
-            cache.fill[set] = ways;
+            lines[valid..].fill(0);
+            self.fill[set] = valid;
         }
         let n_refills = r.take_usize()?;
-        if n_refills > config.mshrs {
+        if n_refills > self.config.mshrs {
             return Err(malformed(format!(
                 "cache: {n_refills} in-flight refills, {} MSHRs",
-                config.mshrs
+                self.config.mshrs
             )));
         }
+        self.refills.clear();
         for _ in 0..n_refills {
             let set = r.take_usize()?;
             if set >= sets {
@@ -404,17 +419,17 @@ impl DataCache {
                     "cache: refill into set {set}, geometry has {sets}"
                 )));
             }
-            cache.refills.push(Refill {
+            self.refills.push(Refill {
                 set,
                 tag: r.take_u64()?,
                 done: r.take_u64()?,
             });
         }
-        cache.stats.accesses = r.take_u64()?;
-        cache.stats.hits = r.take_u64()?;
-        cache.stats.misses = r.take_u64()?;
-        cache.stats.blocked = r.take_u64()?;
-        Ok(cache)
+        self.stats.accesses = r.take_u64()?;
+        self.stats.hits = r.take_u64()?;
+        self.stats.misses = r.take_u64()?;
+        self.stats.blocked = r.take_u64()?;
+        Ok(())
     }
 
     /// Invalidates all lines and cancels any refill. Statistics survive.
@@ -580,10 +595,10 @@ mod tests {
     }
 
     /// A well-checksummed snapshot can name any set index for an in-flight
-    /// refill; one outside the geometry is refused at restore instead of
+    /// refill; one outside the geometry is refused at decode instead of
     /// panicking in `settle` on the next access.
     #[test]
-    fn restore_rejects_a_refill_outside_the_geometry() {
+    fn decode_rejects_a_refill_outside_the_geometry() {
         let mut w = smt_checkpoint::Writer::new();
         w.put_usize(4); // sets, matching the 4-set geometry
         for _ in 0..4 {
@@ -597,8 +612,8 @@ mod tests {
             w.put_u64(0); // stats
         }
         let bytes = w.into_bytes();
-        let config = *small(2).config();
-        let err = DataCache::restore(config, &mut smt_checkpoint::Reader::new(&bytes))
+        let err = small(2)
+            .decode(&mut smt_checkpoint::Reader::new(&bytes))
             .expect_err("set 9999 of a 4-set cache");
         assert!(
             matches!(err, smt_checkpoint::DecodeError::Malformed(ref m) if m.contains("9999")),

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use smt_isa::program::DataImage;
 use smt_isa::WORD_BYTES;
 
 /// Error raised by a memory access.
@@ -56,13 +57,6 @@ impl MainMemory {
         MainMemory {
             words: vec![0; bytes.div_ceil(WORD_BYTES) as usize],
         }
-    }
-
-    /// Initializes memory from pre-built words — e.g. the concatenated
-    /// per-thread data images of a heterogeneous program mix.
-    #[must_use]
-    pub fn from_words(words: Vec<u64>) -> Self {
-        MainMemory { words }
     }
 
     /// Memory size in bytes.
@@ -123,9 +117,33 @@ impl MainMemory {
         &self.words
     }
 
+    /// Overwrites memory with `images` laid end to end, zero elsewhere —
+    /// one program's data image, or a mix's, concatenated in thread order.
+    /// Storage of the right size is reused; any other size is reallocated
+    /// zeroed (so pages the images never touch stay untouched).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image initializer is unaligned or outside its image.
+    pub fn load_images<'a>(&mut self, images: impl Iterator<Item = &'a DataImage> + Clone) {
+        let len = images.clone().map(DataImage::word_len).sum();
+        if self.words.len() == len {
+            self.words.fill(0);
+        } else {
+            self.words = vec![0; len];
+        }
+        let mut at = 0;
+        for image in images {
+            let n = image.word_len();
+            image.materialize_into(&mut self.words[at..at + n]);
+            at += n;
+        }
+    }
+
     /// Serializes memory as a sparse delta against `baseline` (typically
     /// the program's initial data image): total word count, then
-    /// `(index, value)` pairs for every word that differs.
+    /// `(index, value)` pairs for every word that differs. One pass: the
+    /// pair count is patched in once the pairs are written.
     ///
     /// # Panics
     ///
@@ -137,45 +155,43 @@ impl MainMemory {
             "delta baseline must match memory size"
         );
         w.put_usize(self.words.len());
-        let changed = self
-            .words
-            .iter()
-            .zip(baseline)
-            .filter(|(a, b)| a != b)
-            .count();
-        w.put_usize(changed);
+        let count_at = w.len();
+        w.put_usize(0);
+        let mut changed = 0;
         for (i, (&word, &base)) in self.words.iter().zip(baseline).enumerate() {
             if word != base {
                 w.put_usize(i);
                 w.put_u64(word);
+                changed += 1;
             }
         }
+        w.patch_usize(count_at, changed);
     }
 
-    /// Rebuilds memory from `baseline` plus a [`save_delta`](Self::save_delta),
-    /// applying the delta in place to the baseline's own words.
-    pub fn restore_delta(
-        baseline: Vec<u64>,
+    /// Applies a [`save_delta`](Self::save_delta) in place to memory that
+    /// holds the delta's baseline (see [`load_images`](Self::load_images)).
+    /// On error some pairs may already have been applied.
+    pub fn decode_delta(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
+    ) -> Result<(), smt_checkpoint::DecodeError> {
         let len = r.take_usize()?;
-        if len != baseline.len() {
+        if len != self.words.len() {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
                 "memory delta for {len} words, baseline has {}",
-                baseline.len()
+                self.words.len()
             )));
         }
-        let mut words = baseline;
         let changed = r.take_usize()?;
         for _ in 0..changed {
             let i = r.take_usize()?;
             let v = r.take_u64()?;
-            let slot = words.get_mut(i).ok_or_else(|| {
+            let slot = self.words.get_mut(i).ok_or_else(|| {
                 smt_checkpoint::DecodeError::Malformed(format!("delta index {i} of {len} words"))
             })?;
             *slot = v;
         }
-        Ok(MainMemory { words })
+        Ok(())
     }
 }
 

@@ -229,20 +229,27 @@ impl StoreBuffer {
         }
     }
 
-    /// Rebuilds a buffer of `capacity` from [`save`](Self::save)d state.
-    pub fn restore(
-        capacity: usize,
+    /// Empties the buffer, keeping its storage.
+    pub fn reset(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Replaces the contents with [`save`](Self::save)d state, refusing
+    /// more entries than the capacity.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
-        let mut sb = StoreBuffer::new(capacity);
+    ) -> Result<(), smt_checkpoint::DecodeError> {
+        self.entries.clear();
         let n = r.take_usize()?;
-        if n > capacity {
+        if n > self.capacity {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                "store buffer: {n} entries for capacity {capacity}"
+                "store buffer: {n} entries for capacity {}",
+                self.capacity
             )));
         }
         for _ in 0..n {
-            sb.entries.push_back(StoreEntry {
+            self.entries.push_back(StoreEntry {
                 id: r.take_u64()?,
                 tid: r.take_usize()?,
                 addr: r.take_u64()?,
@@ -251,7 +258,7 @@ impl StoreBuffer {
                 released: r.take_bool()?,
             });
         }
-        Ok(sb)
+        Ok(())
     }
 }
 

@@ -543,9 +543,10 @@ pub fn verify_mix(programs: &[&Program], config: SimConfig) -> Result<Report, Bo
 
 /// Like [`verify_mix`], but every `every` cycles the run is interrupted,
 /// the machine is serialized to the snapshot wire format, decoded back,
-/// and **replaced** by the restored copy, which then continues under the
-/// same oracle. A clean report therefore certifies not only that the
-/// commit stream matches the reference, but that mid-run snapshots are
+/// and its whole state **replaced** by the decoded snapshot
+/// ([`Simulator::restore_into`]); it then continues under the same
+/// oracle. A clean report therefore certifies not only that the commit
+/// stream matches the reference, but that mid-run snapshots are
 /// transparent — the stream across every splice point is
 /// indistinguishable from an uninterrupted run's.
 ///
@@ -582,20 +583,18 @@ fn run_verified(
     let mut oracle = Oracle::new(programs, &bases, sim.config().su_depth);
     let outcome = match every {
         None => sim.run_with(&mut oracle),
-        Some(every) => run_spliced(&mut sim, &mut oracle, every, programs)?,
+        Some(every) => run_spliced(&mut sim, &mut oracle, every)?,
     };
     conclude(&sim, oracle, outcome)
 }
 
 /// The splice loop of the `*_with_checkpoints` verifiers: runs `sim` under
-/// `obs`, and every `every` cycles replaces it with a restore of its own
-/// snapshot over `programs`, after an encode/decode round trip. Returns
-/// the run outcome; `sim` is left holding the machine that produced it.
-fn run_spliced<'p, O: Observer>(
-    sim: &mut Simulator<'p>,
+/// `obs`, and every `every` cycles restores it in place from its own
+/// snapshot, after an encode/decode round trip. Returns the run outcome.
+fn run_spliced<O: Observer>(
+    sim: &mut Simulator<'_>,
     obs: &mut O,
     every: u64,
-    programs: &[&'p Program],
 ) -> Result<Result<SimStats, SimError>, Box<Divergence>> {
     loop {
         for _ in 0..every {
@@ -619,7 +618,7 @@ fn run_spliced<'p, O: Observer>(
         let bytes = sim.checkpoint().to_bytes();
         let snap = Snapshot::from_bytes(&bytes)
             .map_err(|e| harness_divergence(format!("snapshot decode: {e}")))?;
-        *sim = Simulator::restore_mix(sim.config().clone(), programs, &snap)
+        sim.restore_into(&snap)
             .map_err(|e| harness_divergence(format!("snapshot restore: {e}")))?;
     }
 }

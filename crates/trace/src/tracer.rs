@@ -62,7 +62,8 @@ impl Tracer {
     #[must_use]
     pub fn with_window(mut self, start: u64, end: u64) -> Self {
         self.lifecycle = self.lifecycle.with_window(start, end);
-        let span = usize::try_from(end.saturating_sub(start) + 1).unwrap_or(usize::MAX);
+        let span =
+            usize::try_from(end.saturating_sub(start).saturating_add(1)).unwrap_or(usize::MAX);
         self.occupancy = self.occupancy.with_series(span.min(1 << 20));
         self
     }
@@ -108,5 +109,26 @@ mod tests {
         let b = t.into_breakdown();
         assert_eq!(b.cycles, 1);
         assert_eq!(b.width, 4);
+    }
+
+    /// The widest window, `0..=u64::MAX`, spans more cycles than a `u64`
+    /// counts: the span saturates (and the series is capped) instead of
+    /// overflowing to an empty series.
+    #[test]
+    fn the_widest_window_keeps_a_capped_series() {
+        let shape = MachineShape {
+            width: 4,
+            su_depth: 32,
+            su_blocks: 8,
+            store_buffer: 8,
+            mshrs: 1,
+            threads: 1,
+        };
+        let mut t = Tracer::new(shape, 64).with_window(0, u64::MAX);
+        let occ = Occupancy::default();
+        for cycle in 0..3 {
+            t.event(&TraceEvent::CycleEnd { cycle, occ: &occ });
+        }
+        assert_eq!(t.occupancy.series().len(), 3);
     }
 }

@@ -148,20 +148,27 @@ impl FuPool {
     /// Creates an idle pool for `config`.
     #[must_use]
     pub fn new(config: FuConfig) -> Self {
-        let units = FuClass::ALL
-            .iter()
-            .map(|&class| {
-                vec![
-                    Unit {
-                        free_at: 0,
-                        busy_cycles: 0,
-                        issues: 0
-                    };
-                    config.class(class).count
-                ]
-            })
-            .collect();
-        FuPool { config, units }
+        let mut pool = FuPool {
+            config,
+            units: Vec::new(),
+        };
+        pool.reset();
+        pool
+    }
+
+    /// Returns every unit to idle, with zeroed counters, keeping the
+    /// pool's storage.
+    pub fn reset(&mut self) {
+        const IDLE: Unit = Unit {
+            free_at: 0,
+            busy_cycles: 0,
+            issues: 0,
+        };
+        self.units.resize_with(FuClass::ALL.len(), Vec::new);
+        for (units, &class) in self.units.iter_mut().zip(&FuClass::ALL) {
+            units.clear();
+            units.resize(self.config.class(class).count, IDLE);
+        }
     }
 
     /// The pool's configuration.
@@ -227,13 +234,14 @@ impl FuPool {
         }
     }
 
-    /// Rebuilds a pool for `config` from [`save`](Self::save)d state.
-    pub fn restore(
-        config: FuConfig,
+    /// Replaces every unit's state with [`save`](Self::save)d state,
+    /// refusing a unit count the configuration does not have. Every unit
+    /// is written, so no reset need precede it.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
-        let mut pool = FuPool::new(config);
-        for class_units in &mut pool.units {
+    ) -> Result<(), smt_checkpoint::DecodeError> {
+        for class_units in &mut self.units {
             let n = r.take_usize()?;
             if n != class_units.len() {
                 return Err(smt_checkpoint::DecodeError::Malformed(format!(
@@ -247,7 +255,7 @@ impl FuPool {
                 u.issues = r.take_u64()?;
             }
         }
-        Ok(pool)
+        Ok(())
     }
 
     /// Occupancy of the class's *last* (extra) unit as a percentage of

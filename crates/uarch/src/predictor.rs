@@ -108,11 +108,21 @@ impl BranchPredictor {
             entries.is_power_of_two() && entries > 0,
             "BTB size must be a power of two"
         );
-        BranchPredictor {
-            entries: vec![None; entries],
+        let mut p = BranchPredictor {
+            entries: Vec::new(),
             mask: entries - 1,
             stats: PredictorStats::default(),
-        }
+        };
+        p.reset();
+        p
+    }
+
+    /// Returns the BTB to its cold state — every slot empty, zeroed
+    /// counters — keeping its storage.
+    pub fn reset(&mut self) {
+        self.entries.clear();
+        self.entries.resize(self.mask + 1, None);
+        self.stats = PredictorStats::default();
     }
 
     /// Looks up the prediction for the control-transfer at `pc`.
@@ -169,49 +179,35 @@ impl BranchPredictor {
     /// Serializes BTB contents and traffic counters.
     pub fn save(&self, w: &mut smt_checkpoint::Writer) {
         w.put_usize(self.entries.len());
-        for slot in &self.entries {
-            match slot {
-                None => w.put_u8(0),
-                Some(e) => {
-                    w.put_u8(1);
-                    w.put_usize(e.pc);
-                    w.put_usize(e.target);
-                    w.put_u8(e.counter);
-                }
-            }
-        }
+        save_sparse(w, &self.entries, |w, e| {
+            w.put_usize(e.pc);
+            w.put_usize(e.target);
+            w.put_u8(e.counter);
+        });
         w.put_u64(self.stats.lookups);
         w.put_u64(self.stats.btb_hits);
         w.put_u64(self.stats.updates);
     }
 
-    /// Rebuilds a predictor of `entries` slots from [`save`](Self::save)d
-    /// state, refusing a snapshot of any other size before allocating.
-    pub fn restore(
-        entries: usize,
+    /// Replaces the state with [`save`](Self::save)d state, refusing a
+    /// snapshot of any other size. Each slot is decoded once, straight
+    /// over its old contents, so no reset need precede it.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
-        expect_len(r, "BTB slots", entries)?;
-        let mut p = BranchPredictor::new(entries);
-        for slot in &mut p.entries {
-            *slot = match r.take_u8()? {
-                0 => None,
-                1 => Some(Entry {
-                    pc: r.take_usize()?,
-                    target: r.take_usize()?,
-                    counter: take_counter(r)?,
-                }),
-                v => {
-                    return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                        "BTB slot discriminant {v}"
-                    )))
-                }
-            };
-        }
-        p.stats.lookups = r.take_u64()?;
-        p.stats.btb_hits = r.take_u64()?;
-        p.stats.updates = r.take_u64()?;
-        Ok(p)
+    ) -> Result<(), smt_checkpoint::DecodeError> {
+        expect_len(r, "BTB slots", self.entries.len())?;
+        decode_sparse(r, &mut self.entries, |r| {
+            Ok(Entry {
+                pc: r.take_usize()?,
+                target: r.take_usize()?,
+                counter: take_counter(r)?,
+            })
+        })?;
+        self.stats.lookups = r.take_u64()?;
+        self.stats.btb_hits = r.take_u64()?;
+        self.stats.updates = r.take_u64()?;
+        Ok(())
     }
 
     /// Number of BTB slots.
@@ -239,6 +235,56 @@ fn expect_len(
         return Err(smt_checkpoint::DecodeError::Malformed(format!(
             "predictor snapshot holds {len} {what}, configuration has {want}"
         )));
+    }
+    Ok(())
+}
+
+/// Writes a table of optional entries: per slot a 0 byte when it is empty,
+/// else a 1 byte and what `put` writes for the entry. Runs of empty slots
+/// go out in one write.
+fn save_sparse<T>(
+    w: &mut smt_checkpoint::Writer,
+    slots: &[Option<T>],
+    mut put: impl FnMut(&mut smt_checkpoint::Writer, &T),
+) {
+    let mut empty = 0;
+    for slot in slots {
+        let Some(entry) = slot else {
+            empty += 1;
+            continue;
+        };
+        w.put_zeros(std::mem::take(&mut empty));
+        w.put_u8(1);
+        put(w, entry);
+    }
+    w.put_zeros(empty);
+}
+
+/// Decodes a table [`save_sparse`] wrote over `slots`, writing each slot
+/// once: runs of empty slots are read eight at a time, and an entry with
+/// `take`.
+fn decode_sparse<T>(
+    r: &mut smt_checkpoint::Reader<'_>,
+    slots: &mut [Option<T>],
+    mut take: impl FnMut(&mut smt_checkpoint::Reader<'_>) -> Result<T, smt_checkpoint::DecodeError>,
+) -> Result<(), smt_checkpoint::DecodeError> {
+    let mut i = 0;
+    while i < slots.len() {
+        let empty = r.take_zeros(slots.len() - i);
+        slots[i..i + empty].fill_with(|| None);
+        i += empty;
+        let Some(slot) = slots.get_mut(i) else {
+            break;
+        };
+        *slot = match r.take_u8()? {
+            1 => Some(take(r)?),
+            v => {
+                return Err(smt_checkpoint::DecodeError::Malformed(format!(
+                    "BTB slot discriminant {v}"
+                )))
+            }
+        };
+        i += 1;
     }
     Ok(())
 }
@@ -339,14 +385,28 @@ impl GsharePredictor {
             "PHT size must be a power of two"
         );
         assert!(n_threads > 0, "need at least one thread");
-        GsharePredictor {
-            pht: vec![0; entries],
-            btb: vec![None; entries],
+        let mut p = GsharePredictor {
+            pht: Vec::new(),
+            btb: Vec::new(),
             mask: entries - 1,
             history: vec![0; n_threads],
             hist_mask: (entries - 1) as u64,
             stats: PredictorStats::default(),
-        }
+        };
+        p.reset();
+        p
+    }
+
+    /// Returns the tables and every history register to their cold
+    /// state, keeping their storage.
+    pub fn reset(&mut self) {
+        let entries = self.mask + 1;
+        self.pht.clear();
+        self.pht.resize(entries, 0);
+        self.btb.clear();
+        self.btb.resize(entries, None);
+        self.history.fill(0);
+        self.stats = PredictorStats::default();
     }
 
     fn index(&self, tid: usize, pc: usize) -> usize {
@@ -395,16 +455,10 @@ impl GsharePredictor {
         for &c in &self.pht {
             w.put_u8(c);
         }
-        for slot in &self.btb {
-            match slot {
-                None => w.put_u8(0),
-                Some((pc, target)) => {
-                    w.put_u8(1);
-                    w.put_usize(*pc);
-                    w.put_usize(*target);
-                }
-            }
-        }
+        save_sparse(w, &self.btb, |w, &(pc, target)| {
+            w.put_usize(pc);
+            w.put_usize(target);
+        });
         w.put_usize(self.history.len());
         for &h in &self.history {
             w.put_u64(h);
@@ -414,44 +468,36 @@ impl GsharePredictor {
         w.put_u64(self.stats.updates);
     }
 
-    /// Rebuilds a predictor of `entries` slots and `n_threads` history
-    /// registers from [`save`](Self::save)d state, refusing a snapshot of
-    /// any other shape before allocating.
-    pub fn restore(
-        entries: usize,
-        n_threads: usize,
+    /// Replaces the state with [`save`](Self::save)d state, refusing a
+    /// snapshot of any other shape. Each slot and register is decoded
+    /// once, so no reset need precede it.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
-        expect_len(r, "PHT slots", entries)?;
-        let mut p = GsharePredictor::new(entries, n_threads);
-        for c in &mut p.pht {
-            *c = take_counter(r)?;
+    ) -> Result<(), smt_checkpoint::DecodeError> {
+        expect_len(r, "PHT slots", self.pht.len())?;
+        let counters = r.take(self.pht.len())?;
+        if let Some(&c) = counters.iter().find(|&&c| c > 3) {
+            return Err(smt_checkpoint::DecodeError::Malformed(format!(
+                "2-bit counter out of range: {c}"
+            )));
         }
-        for slot in &mut p.btb {
-            *slot = match r.take_u8()? {
-                0 => None,
-                1 => Some((r.take_usize()?, r.take_usize()?)),
-                v => {
-                    return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                        "BTB slot discriminant {v}"
-                    )))
-                }
-            };
-        }
-        expect_len(r, "history registers", n_threads)?;
-        for slot in &mut p.history {
+        self.pht.copy_from_slice(counters);
+        decode_sparse(r, &mut self.btb, |r| Ok((r.take_usize()?, r.take_usize()?)))?;
+        expect_len(r, "history registers", self.history.len())?;
+        for slot in &mut self.history {
             let h = r.take_u64()?;
-            if h > p.hist_mask {
+            if h > self.hist_mask {
                 return Err(smt_checkpoint::DecodeError::Malformed(format!(
                     "history register {h:#x} wider than the PHT index"
                 )));
             }
             *slot = h;
         }
-        p.stats.lookups = r.take_u64()?;
-        p.stats.btb_hits = r.take_u64()?;
-        p.stats.updates = r.take_u64()?;
-        Ok(p)
+        self.stats.lookups = r.take_u64()?;
+        self.stats.btb_hits = r.take_u64()?;
+        self.stats.updates = r.take_u64()?;
+        Ok(())
     }
 
     /// Number of PHT (and BTB) slots.
@@ -536,21 +582,24 @@ impl PartitionedPredictor {
         }
     }
 
-    /// Rebuilds `n_threads` partitions of a budget of `entries` from
-    /// [`save`](Self::save)d state, refusing a snapshot of any other shape
-    /// before allocating.
-    pub fn restore(
-        entries: usize,
-        n_threads: usize,
-        r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
-        expect_len(r, "partitions", n_threads)?;
-        let per = Self::partition_size(entries, n_threads);
-        let mut tables = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            tables.push(BranchPredictor::restore(per, r)?);
+    /// Returns every partition to its cold state.
+    pub fn reset(&mut self) {
+        for t in &mut self.tables {
+            t.reset();
         }
-        Ok(PartitionedPredictor { tables })
+    }
+
+    /// Replaces every partition with [`save`](Self::save)d state, refusing
+    /// a snapshot of any other shape.
+    pub fn decode(
+        &mut self,
+        r: &mut smt_checkpoint::Reader<'_>,
+    ) -> Result<(), smt_checkpoint::DecodeError> {
+        expect_len(r, "partitions", self.tables.len())?;
+        for t in &mut self.tables {
+            t.decode(r)?;
+        }
+        Ok(())
     }
 
     /// Number of per-thread partitions.
@@ -651,18 +700,25 @@ impl Predictor {
         }
     }
 
-    /// Rebuilds from [`save`](Self::save)d state, validating that the
-    /// snapshot's family matches `kind` and that every table has the shape
-    /// [`build`](Self::build) gives a budget of `entries` slots across
-    /// `n_threads` threads — checked before anything is allocated, so a
-    /// length word in the snapshot never sizes a table.
-    pub fn restore(
-        kind: PredictorKind,
-        entries: usize,
-        n_threads: usize,
+    /// Returns the predictor to its cold state, keeping its storage.
+    pub fn reset(&mut self) {
+        match self {
+            Predictor::Shared(p) => p.reset(),
+            Predictor::Gshare(p) => p.reset(),
+            Predictor::Partitioned(p) => p.reset(),
+        }
+    }
+
+    /// Replaces the state with [`save`](Self::save)d state, validating that
+    /// the snapshot's family is this predictor's and that every table has
+    /// this predictor's shape — so a length word in the snapshot never
+    /// sizes a table.
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
+    ) -> Result<(), smt_checkpoint::DecodeError> {
         let tag = r.take_u8()?;
+        let kind = self.kind();
         let expect = match kind {
             PredictorKind::SharedBtb => 0,
             PredictorKind::Gshare => 1,
@@ -673,15 +729,11 @@ impl Predictor {
                 "predictor family tag {tag} does not match configured {kind}"
             )));
         }
-        Ok(match kind {
-            PredictorKind::SharedBtb => Predictor::Shared(BranchPredictor::restore(entries, r)?),
-            PredictorKind::Gshare => {
-                Predictor::Gshare(GsharePredictor::restore(entries, n_threads, r)?)
-            }
-            PredictorKind::PartitionedBtb => {
-                Predictor::Partitioned(PartitionedPredictor::restore(entries, n_threads, r)?)
-            }
-        })
+        match self {
+            Predictor::Shared(p) => p.decode(r),
+            Predictor::Gshare(p) => p.decode(r),
+            Predictor::Partitioned(p) => p.decode(r),
+        }
     }
 }
 
@@ -868,7 +920,9 @@ mod tests {
         good.save(&mut w);
         let mut bytes = w.into_bytes();
         // Round-trips cleanly before corruption.
-        assert!(BranchPredictor::restore(4, &mut smt_checkpoint::Reader::new(&bytes)).is_ok());
+        assert!(BranchPredictor::new(4)
+            .decode(&mut smt_checkpoint::Reader::new(&bytes))
+            .is_ok());
         // Forge the counter byte: the stream holds `counter: u8 = 2` for
         // the single occupied slot; corrupt every byte equal to 2 that
         // follows an occupancy marker by scanning for the known layout is
@@ -886,8 +940,9 @@ mod tests {
         w.put_u64(0);
         w.put_u64(1);
         bytes = w.into_bytes();
-        let err =
-            BranchPredictor::restore(4, &mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
+        let err = BranchPredictor::new(4)
+            .decode(&mut smt_checkpoint::Reader::new(&bytes))
+            .unwrap_err();
         assert!(
             matches!(err, smt_checkpoint::DecodeError::Malformed(ref m) if m.contains("counter")),
             "expected a counter rejection, got {err:?}"
@@ -1050,28 +1105,47 @@ mod tests {
         assert_eq!(p.slots_per_thread(), 64);
     }
 
-    /// Every family round-trips through save/restore bit-identically:
-    /// restoring a snapshot and saving again yields the same bytes.
+    /// Decodes `bytes` into a cold predictor of the given shape.
+    fn decoded(
+        kind: PredictorKind,
+        entries: usize,
+        threads: usize,
+        bytes: &[u8],
+    ) -> Result<Predictor, smt_checkpoint::DecodeError> {
+        let mut p = Predictor::build(kind, entries, threads);
+        p.decode(&mut smt_checkpoint::Reader::new(bytes))
+            .map(|()| p)
+    }
+
+    /// Every family round-trips through save/decode bit-identically:
+    /// decoding a snapshot — over a predictor trained on a different
+    /// stream — and saving again yields the same bytes.
     #[test]
     fn every_family_round_trips_bit_identically() {
+        fn train(p: &mut Predictor, threads: usize, rng: &mut smt_testkit::Rng) {
+            for _ in 0..200 {
+                let tid = rng.range_usize(0, threads);
+                let pc = rng.range_usize(0, 256);
+                if rng.coin() {
+                    let _ = p.predict(tid, pc);
+                } else {
+                    p.update(tid, pc, rng.coin(), rng.range_usize(0, 256));
+                }
+            }
+        }
         smt_testkit::cases(12, |rng| {
             for kind in PredictorKind::ALL {
                 let threads = rng.range_usize(1, 4);
                 let mut p = Predictor::build(kind, 64, threads);
-                for _ in 0..200 {
-                    let tid = rng.range_usize(0, threads);
-                    let pc = rng.range_usize(0, 256);
-                    if rng.coin() {
-                        let _ = p.predict(tid, pc);
-                    } else {
-                        p.update(tid, pc, rng.coin(), rng.range_usize(0, 256));
-                    }
-                }
+                train(&mut p, threads, rng);
                 let mut w = smt_checkpoint::Writer::new();
                 p.save(&mut w);
                 let bytes = w.into_bytes();
-                let mut r = smt_checkpoint::Reader::new(&bytes);
-                let restored = Predictor::restore(kind, 64, threads, &mut r).unwrap();
+                let mut restored = Predictor::build(kind, 64, threads);
+                train(&mut restored, threads, rng);
+                restored
+                    .decode(&mut smt_checkpoint::Reader::new(&bytes))
+                    .unwrap();
                 assert_eq!(restored.kind(), kind);
                 assert_eq!(restored.stats(), p.stats());
                 let mut w2 = smt_checkpoint::Writer::new();
@@ -1090,13 +1164,7 @@ mod tests {
         let mut w = smt_checkpoint::Writer::new();
         p.save(&mut w);
         let bytes = w.into_bytes();
-        let err = Predictor::restore(
-            PredictorKind::Gshare,
-            16,
-            2,
-            &mut smt_checkpoint::Reader::new(&bytes),
-        )
-        .unwrap_err();
+        let err = decoded(PredictorKind::Gshare, 16, 2, &bytes).unwrap_err();
         assert!(matches!(err, smt_checkpoint::DecodeError::Malformed(_)));
     }
 
@@ -1109,8 +1177,7 @@ mod tests {
             let mut w = smt_checkpoint::Writer::new();
             p.save(&mut w);
             let bytes = w.into_bytes();
-            let err = Predictor::restore(kind, 64, 2, &mut smt_checkpoint::Reader::new(&bytes))
-                .unwrap_err();
+            let err = decoded(kind, 64, 2, &bytes).unwrap_err();
             assert!(
                 matches!(err, smt_checkpoint::DecodeError::Malformed(_)),
                 "{kind} accepted a wrong-thread-count snapshot"
@@ -1131,7 +1198,9 @@ mod tests {
         let mut bad = clean.clone();
         let pht_start = clean.len() - (4 + 4 + 8 + 8 + 24); // counters+slots+len+hist+stats
         bad[pht_start] = 9;
-        assert!(GsharePredictor::restore(4, 1, &mut smt_checkpoint::Reader::new(&bad)).is_err());
+        assert!(GsharePredictor::new(4, 1)
+            .decode(&mut smt_checkpoint::Reader::new(&bad))
+            .is_err());
 
         // An overwide history register (mask for 4 entries is 0b11).
         let mut w = smt_checkpoint::Writer::new();
@@ -1148,8 +1217,9 @@ mod tests {
         w.put_u64(0);
         w.put_u64(0);
         let bytes = w.into_bytes();
-        let err =
-            GsharePredictor::restore(4, 1, &mut smt_checkpoint::Reader::new(&bytes)).unwrap_err();
+        let err = GsharePredictor::new(4, 1)
+            .decode(&mut smt_checkpoint::Reader::new(&bytes))
+            .unwrap_err();
         assert!(matches!(err, smt_checkpoint::DecodeError::Malformed(_)));
     }
 
@@ -1189,8 +1259,7 @@ mod tests {
             ),
         ];
         for (kind, bytes) in cases {
-            let err = Predictor::restore(kind, 16, 2, &mut smt_checkpoint::Reader::new(&bytes))
-                .unwrap_err();
+            let err = decoded(kind, 16, 2, &bytes).unwrap_err();
             assert!(
                 matches!(err, smt_checkpoint::DecodeError::Malformed(ref m) if m.contains("configuration")),
                 "{kind}: expected a length rejection, got {err:?}"
@@ -1199,13 +1268,7 @@ mod tests {
         // Right partition count, wrong partition size (a 16-slot budget
         // across 2 threads gives 8-slot partitions).
         let bytes = [vec![2], stream(&[2, 16])].concat();
-        let err = Predictor::restore(
-            PredictorKind::PartitionedBtb,
-            16,
-            2,
-            &mut smt_checkpoint::Reader::new(&bytes),
-        )
-        .unwrap_err();
+        let err = decoded(PredictorKind::PartitionedBtb, 16, 2, &bytes).unwrap_err();
         assert!(matches!(err, smt_checkpoint::DecodeError::Malformed(_)));
     }
 }

@@ -52,7 +52,7 @@ impl fmt::Display for Tag {
 /// tags.free(a);
 /// assert!(tags.alloc().is_some());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct TagAllocator {
     capacity: usize,
     live: usize,
@@ -71,13 +71,24 @@ impl TagAllocator {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "tag capacity must be positive");
-        TagAllocator {
+        let mut tags = TagAllocator {
             capacity,
             live: 0,
             next: 0,
             #[cfg(debug_assertions)]
             outstanding: std::collections::HashSet::new(),
-        }
+        };
+        tags.reset();
+        tags
+    }
+
+    /// Returns the allocator to its cold state: no tag live, the next
+    /// identifier zero.
+    pub fn reset(&mut self) {
+        self.live = 0;
+        self.next = 0;
+        #[cfg(debug_assertions)]
+        self.outstanding.clear();
     }
 
     /// Allocates a tag, or `None` if `capacity` tags are already live.
@@ -134,43 +145,65 @@ impl TagAllocator {
         w.put_u64(self.next);
     }
 
-    /// Rebuilds an allocator from [`save`](Self::save)d state.
+    /// Replaces the state with [`save`](Self::save)d state.
     ///
-    /// `resident` must be the raw tags of every entry still live in the
+    /// `resident` yields the raw tags of every entry still live in the
     /// restored machine (scheduling-unit entries; store-buffer ids are
-    /// already-freed tags and must not be included), oldest first. Its
-    /// length must equal the serialized live count, and since decode
+    /// already-freed tags and must not be included), oldest first. Their
+    /// number must equal the serialized live count, and since decode
     /// allocates tags in window order, they must ascend strictly and stay
     /// below the next identifier — otherwise a later allocation would
     /// reissue a live tag.
-    pub fn restore(
-        capacity: usize,
+    pub fn decode(
+        &mut self,
         r: &mut smt_checkpoint::Reader<'_>,
-        resident: &[u64],
-    ) -> Result<Self, smt_checkpoint::DecodeError> {
+        resident: impl IntoIterator<Item = u64>,
+    ) -> Result<(), smt_checkpoint::DecodeError> {
         let live = r.take_usize()?;
         let next = r.take_u64()?;
-        if live > capacity || resident.len() != live {
+        #[cfg(debug_assertions)]
+        self.outstanding.clear();
+        let (mut count, mut last, mut ascending) = (0, None, true);
+        for t in resident {
+            ascending &= last.is_none_or(|l| l < t);
+            last = Some(t);
+            count += 1;
+            #[cfg(debug_assertions)]
+            self.outstanding.insert(t);
+        }
+        if live > self.capacity || count != live {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
-                "tag allocator: {live} live of {capacity} capacity, {} resident",
-                resident.len()
+                "tag allocator: {live} live of {} capacity, {count} resident",
+                self.capacity
             )));
         }
-        if resident.windows(2).any(|w| w[0] >= w[1]) || resident.last().is_some_and(|&t| t >= next)
-        {
+        if !ascending || last.is_some_and(|t| t >= next) {
             return Err(smt_checkpoint::DecodeError::Malformed(format!(
                 "tag allocator: resident tags do not ascend below the next tag {next}"
             )));
         }
-        #[cfg(not(debug_assertions))]
-        let _ = resident;
-        Ok(TagAllocator {
-            capacity,
-            live,
-            next,
-            #[cfg(debug_assertions)]
-            outstanding: resident.iter().copied().collect(),
-        })
+        self.live = live;
+        self.next = next;
+        Ok(())
+    }
+}
+
+/// Prints the debug-only outstanding set sorted: a hash set iterates in an
+/// order that depends on its history, and two allocators in the same state
+/// must print alike.
+impl fmt::Debug for TagAllocator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("TagAllocator");
+        d.field("capacity", &self.capacity)
+            .field("live", &self.live)
+            .field("next", &self.next);
+        #[cfg(debug_assertions)]
+        {
+            let mut outstanding: Vec<u64> = self.outstanding.iter().copied().collect();
+            outstanding.sort_unstable();
+            d.field("outstanding", &outstanding);
+        }
+        d.finish()
     }
 }
 

@@ -25,6 +25,8 @@
 //! lifecycle records, the occupancy histograms and the CPI stack are
 //! printed instead: what the machine was doing when it wedged.
 
+use std::fs::File;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use smt_superscalar::core::{
@@ -163,6 +165,15 @@ fn print_stuck(sim: &Simulator, tracer: Tracer) {
 }
 
 fn run(opts: Options) -> Result<ExitCode, String> {
+    // Created before the run, so a path that cannot be written is refused
+    // up front rather than after the whole simulation.
+    let out = match opts.out {
+        Some(path) => {
+            let file = File::create(&path).map_err(|e| format!("--out {path}: {e}"))?;
+            Some((path, file))
+        }
+        None => None,
+    };
     let w = workload(opts.kind, opts.scale);
     let program = w.build(opts.config.threads).map_err(|e| e.to_string())?;
     println!(
@@ -245,9 +256,10 @@ fn run(opts: Options) -> Result<ExitCode, String> {
                 format!("{}\n{occupancy}", tracer.into_breakdown().render())
             }
         };
-        match &opts.out {
-            Some(path) => {
-                std::fs::write(path, &output).map_err(|e| format!("--out {path}: {e}"))?;
+        match out {
+            Some((path, mut file)) => {
+                file.write_all(output.as_bytes())
+                    .map_err(|e| format!("--out {path}: {e}"))?;
                 eprintln!("[trace] wrote {path} ({} bytes)", output.len());
             }
             None => print!("{output}"),

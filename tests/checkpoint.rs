@@ -18,7 +18,11 @@ mod support;
 
 use std::fmt::Write as _;
 
-use smt_superscalar::core::{FetchPolicy, PredictorKind, SimConfig, SimError, Simulator};
+use smt_superscalar::core::{
+    FetchPolicy, Observer, PredictorKind, Retirement, SimConfig, SimError, Simulator, Snapshot,
+};
+use smt_superscalar::isa::Program;
+use smt_testkit::progen::{GenConfig, MixPlan, Plan};
 use smt_testkit::Rng;
 use smt_workloads::{workload, Scale, WorkloadKind};
 
@@ -444,4 +448,182 @@ fn oversubscribed_thread_count_is_a_typed_error_not_a_panic() {
         }
         other => panic!("expected RegisterWindow, got {other:?}"),
     }
+}
+
+/// The fuzz oracle's front ends, `(policy, predictor, fetch ports, fetch
+/// width)`: every homogeneous thread count runs all eight, and the mix
+/// column runs the last four at two and four threads.
+const FUZZ_FRONTENDS: [(FetchPolicy, PredictorKind, usize, usize); 8] = [
+    (FetchPolicy::TrueRoundRobin, PredictorKind::SharedBtb, 1, 4),
+    (
+        FetchPolicy::MaskedRoundRobin,
+        PredictorKind::SharedBtb,
+        1,
+        4,
+    ),
+    (
+        FetchPolicy::ConditionalSwitch,
+        PredictorKind::SharedBtb,
+        1,
+        4,
+    ),
+    (FetchPolicy::Icount, PredictorKind::SharedBtb, 1, 4),
+    (FetchPolicy::TrueRoundRobin, PredictorKind::Gshare, 1, 4),
+    (
+        FetchPolicy::TrueRoundRobin,
+        PredictorKind::PartitionedBtb,
+        1,
+        4,
+    ),
+    (FetchPolicy::Icount, PredictorKind::Gshare, 2, 8),
+    (
+        FetchPolicy::ConditionalSwitch,
+        PredictorKind::PartitionedBtb,
+        2,
+        8,
+    ),
+];
+const FUZZ_MIX_FRONTENDS: [(FetchPolicy, PredictorKind, usize, usize); 4] = [
+    (FetchPolicy::TrueRoundRobin, PredictorKind::SharedBtb, 1, 4),
+    (FetchPolicy::Icount, PredictorKind::Gshare, 1, 4),
+    (
+        FetchPolicy::MaskedRoundRobin,
+        PredictorKind::PartitionedBtb,
+        1,
+        4,
+    ),
+    (
+        FetchPolicy::ConditionalSwitch,
+        PredictorKind::SharedBtb,
+        2,
+        8,
+    ),
+];
+
+/// The commit stream of a run, one line per retirement.
+#[derive(Default)]
+struct Stream(Vec<String>);
+
+impl Observer for Stream {
+    fn retired(&mut self, r: &Retirement) {
+        self.0.push(format!("{r:?}"));
+    }
+}
+
+/// Runs two machines over `programs` in lockstep and, every `every`
+/// cycles, restores the same snapshot bytes into one in place
+/// (`restore_into`) and into a fresh replacement of the other
+/// (`restore_mix`). At every splice the two must print identically; at the
+/// end both must have retired the same stream to the same outcome as a run
+/// that was never spliced. Returns the number of splices.
+fn in_place_matches_fresh(
+    programs: &[&Program],
+    config: &SimConfig,
+    every: u64,
+    point: &str,
+) -> u64 {
+    let mut in_place = Simulator::try_new_mix(config.clone(), programs).expect("fits");
+    let mut fresh = Simulator::try_new_mix(config.clone(), programs).expect("fits");
+    let (mut a, mut b) = (Stream::default(), Stream::default());
+    let mut splices = 0;
+    let stopped = loop {
+        let mut stopped = None;
+        for _ in 0..every {
+            if in_place.finished() {
+                break;
+            }
+            let (ra, rb) = (in_place.step_with(&mut a), fresh.step_with(&mut b));
+            assert_eq!(ra, rb, "{point}: cycle {}", in_place.cycle());
+            if let Err(e) = ra {
+                stopped = Some(e);
+                break;
+            }
+        }
+        if stopped.is_some() || in_place.finished() {
+            break stopped;
+        }
+        assert!(
+            in_place.cycle() < config.max_cycles,
+            "{point}: watchdog at cycle {}",
+            in_place.cycle()
+        );
+        let bytes = in_place.checkpoint().to_bytes();
+        let snap = Snapshot::from_bytes(&bytes).expect("wire format round-trips");
+        in_place.restore_into(&snap).expect("restores in place");
+        fresh = Simulator::restore_mix(config.clone(), programs, &snap).expect("restores fresh");
+        assert_eq!(
+            format!("{in_place:?}"),
+            format!("{fresh:?}"),
+            "{point}: splice at cycle {}",
+            snap.cycle
+        );
+        splices += 1;
+    };
+    let outcome = match stopped {
+        Some(e) => Err(e),
+        None => {
+            let (sa, sb) = (in_place.run_with(&mut a), fresh.run_with(&mut b));
+            assert_eq!(sa, sb, "{point}: final statistics");
+            sa
+        }
+    };
+    assert_eq!(a.0, b.0, "{point}: commit streams");
+    let mut straight = Simulator::try_new_mix(config.clone(), programs).expect("fits");
+    let mut c = Stream::default();
+    let straight_outcome = straight.run_with(&mut c);
+    assert_eq!(
+        outcome, straight_outcome,
+        "{point}: splicing changed the outcome"
+    );
+    assert_eq!(a.0, c.0, "{point}: splicing changed the commit stream");
+    splices
+}
+
+/// An in-place restore is a fresh restore: over the fuzz oracle's matrix —
+/// 1, 2, 4 and 8 threads under its eight front ends, plus its mix column —
+/// restoring the same bytes into the running machine and into a new one
+/// gives machines that print identically at every splice point and retire
+/// identical streams to identical final statistics.
+#[test]
+fn in_place_and_fresh_restores_are_identical() {
+    const EVERY: u64 = 50;
+    let gen = GenConfig::default();
+    let mut splices = 0;
+    for seed in [0x1a5e_0001, 0x1a5e_0002, 0x1a5e_0003, 0x1a5e_0004] {
+        let plan = Plan::generate(seed, &gen);
+        for threads in THREADS {
+            let program = plan.build_full(threads).expect("generated plans fit");
+            for (policy, predictor, ports, width) in FUZZ_FRONTENDS {
+                let config = SimConfig::default()
+                    .with_threads(threads)
+                    .with_fetch_policy(policy)
+                    .with_predictor(predictor)
+                    .with_fetch_threads(ports.min(threads))
+                    .with_fetch_width(width);
+                let point =
+                    format!("seed {seed:#x}, {threads}t, {policy:?}/{predictor}/{ports}x{width}");
+                splices += in_place_matches_fresh(&[&program], &config, EVERY, &point);
+            }
+        }
+        for threads in [2, 4] {
+            let programs = MixPlan::generate(seed, threads, &gen)
+                .build_full()
+                .expect("generated mixes fit");
+            let refs: Vec<&Program> = programs.iter().collect();
+            for (policy, predictor, ports, width) in FUZZ_MIX_FRONTENDS {
+                let config = SimConfig::default()
+                    .with_threads(threads)
+                    .with_fetch_policy(policy)
+                    .with_predictor(predictor)
+                    .with_fetch_threads(ports.min(threads))
+                    .with_fetch_width(width);
+                let point = format!(
+                    "seed {seed:#x}, {threads}t mix, {policy:?}/{predictor}/{ports}x{width}"
+                );
+                splices += in_place_matches_fresh(&refs, &config, EVERY, &point);
+            }
+        }
+    }
+    println!("{splices} splices compared");
+    assert!(splices > 100, "the matrix must splice mid-run: {splices}");
 }

@@ -23,6 +23,33 @@ fn malformed_command_lines_exit_2_naming_the_culprit() {
 }
 
 #[test]
+fn an_unwritable_trace_output_is_refused_before_the_run() {
+    let dir = std::env::temp_dir().join(format!("smt-sim-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // A regular file where the output's directory should be.
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "").expect("blocker file");
+    let out = blocker.join("trace.txt");
+    let mut command = Command::new(SMT_SIM);
+    command
+        .args([
+            "--workload",
+            "sieve",
+            "--scale",
+            "test",
+            "--trace",
+            "cpistack",
+        ])
+        .arg("--out")
+        .arg(&out);
+    assert_refused(&mut command, "--out");
+    let output = command.output().expect("smt-sim runs");
+    assert!(output.stdout.is_empty(), "the simulation must not start");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_traced_run_that_trips_the_watchdog_dumps_the_machine() {
     let line = "--workload sieve --scale test --trace cpistack --max-cycles 50";
     let output = Command::new(SMT_SIM)

@@ -5,7 +5,8 @@
 //! with "memory allocation failed", which fails this binary):
 //!
 //! * one `Simulator::restore` makes a small, thread-count-independent
-//!   number of allocation events — it builds each component once — and
+//!   number of allocation events — it builds each component once — one
+//!   `Simulator::restore_into` on a machine that has run makes none, and
 //!   one `checkpoint` + `to_bytes` makes at most four: the encode buffer,
 //!   the identity vector, the memory-delta baseline and the wire buffer;
 //! * every single-bit flip of a real snapshot is a typed decode error;
@@ -13,7 +14,9 @@
 //!   and the checksum re-sealed, so every mutation reaches the
 //!   component decoders, and `Snapshot::from_bytes` +
 //!   `Simulator::restore_mix` must return a typed error or a machine that
-//!   steps 300 cycles without panicking.
+//!   steps 300 cycles without panicking. `restore_into` must agree, and
+//!   its typed error must leave the machine exactly as cold as a fresh
+//!   `Simulator::try_new_mix`.
 //!
 //! This lives in its own integration-test binary because
 //! `#[global_allocator]` is process-wide.
@@ -76,6 +79,11 @@ static ALLOCATOR: GuardedAlloc = GuardedAlloc;
 /// count and under every predictor family.
 const RESTORE_ALLOC_BOUND: u64 = 100;
 
+/// Allocation events one `Simulator::restore_into` may make on a machine
+/// that has already run, at any thread count and under every predictor
+/// family: every component decodes into storage it already owns.
+const RESTORE_INTO_ALLOC_BOUND: u64 = 0;
+
 /// Allocation events one `checkpoint()` + `to_bytes()` may make together,
 /// homogeneous or mix, at any thread count and under every predictor
 /// family: one per buffer.
@@ -88,9 +96,9 @@ fn generated(seed: u64, threads: usize) -> Program {
         .expect("generated plans fit every thread count")
 }
 
-/// Steps a fresh machine `cycles` cycles (or until it finishes) and
-/// returns its snapshot's wire bytes.
-fn snapshot_bytes(mut sim: Simulator<'_>, cycles: u64) -> Vec<u8> {
+/// Steps `sim` `cycles` cycles (or until it finishes) and returns its
+/// snapshot's wire bytes.
+fn snapshot_bytes(sim: &mut Simulator<'_>, cycles: u64) -> Vec<u8> {
     for _ in 0..cycles {
         if sim.finished() || sim.step().is_err() {
             break;
@@ -125,6 +133,53 @@ fn restore_makes_a_bounded_number_of_allocations() {
     assert!(
         worst <= RESTORE_ALLOC_BOUND,
         "a restore made {worst} allocation events (bound {RESTORE_ALLOC_BOUND})"
+    );
+}
+
+#[test]
+fn restore_into_a_machine_that_has_run_allocates_nothing() {
+    let mut worst = 0;
+    for threads in [1, 2, 4, 8] {
+        let uniform = vec![generated(0xa110c, threads)];
+        let mix = (threads > 1).then(|| {
+            MixPlan::generate(0xa110c, threads, &GenConfig::default())
+                .build_full()
+                .expect("generated mixes fit")
+        });
+        for programs in std::iter::once(uniform).chain(mix) {
+            let refs: Vec<&Program> = programs.iter().collect();
+            let shape = if refs.len() > 1 { "mix" } else { "homogeneous" };
+            for predictor in PredictorKind::ALL {
+                let config = SimConfig::default()
+                    .with_threads(threads)
+                    .with_predictor(predictor)
+                    .with_fetch_threads(2.min(threads))
+                    .with_fetch_width(8);
+                let mut sim = Simulator::try_new_mix(config, &refs).expect("fits");
+                while sim.cycle() < 100 || sim.is_quiescent() {
+                    assert!(!sim.finished(), "blocks must be in flight");
+                    sim.step().expect("prefix steps complete");
+                }
+                let snap = Snapshot::from_bytes(&sim.checkpoint().to_bytes()).expect("round trip");
+                // Run on past the snapshot, so the machine holds different
+                // state (and storage grown to its high-water marks).
+                for _ in 0..100 {
+                    if sim.finished() || sim.step().is_err() {
+                        break;
+                    }
+                }
+                let before = ALLOCS.with(Cell::get);
+                sim.restore_into(&snap).expect("snapshot restores");
+                let n = ALLOCS.with(Cell::get) - before;
+                assert_eq!(sim.cycle(), snap.cycle);
+                println!("{threads} threads, {shape}, {predictor}: {n} allocation events");
+                worst = worst.max(n);
+            }
+        }
+    }
+    assert_eq!(
+        worst, RESTORE_INTO_ALLOC_BOUND,
+        "a restore_into made {worst} allocation events (bound {RESTORE_INTO_ALLOC_BOUND})"
     );
 }
 
@@ -169,7 +224,7 @@ fn checkpoint_and_to_bytes_allocate_once_per_buffer() {
 fn every_single_bit_flip_is_a_typed_decode_error() {
     let program = generated(0xb17f, 8);
     let wire = snapshot_bytes(
-        Simulator::new(SimConfig::default().with_threads(8), &program),
+        &mut Simulator::new(SimConfig::default().with_threads(8), &program),
         150,
     );
     Snapshot::from_bytes(&wire).expect("the unflipped snapshot decodes");
@@ -229,20 +284,47 @@ fn mutate(wire: &[u8], payload_len: usize, rng: &mut Rng) -> Vec<u8> {
     bytes
 }
 
-/// Decodes and restores one mutated snapshot; a machine that restores is
-/// stepped 300 cycles. Returns whether the decoders rejected it.
-fn exercise<'p>(bytes: &[u8], restore: impl FnOnce(&Snapshot) -> Option<Simulator<'p>>) -> bool {
-    let Ok(snap) = Snapshot::from_bytes(bytes) else {
-        return true;
-    };
-    let Some(mut sim) = restore(&snap) else {
-        return true;
-    };
+/// Steps a restored machine 300 cycles (or until it stops).
+fn step_300(sim: &mut Simulator<'_>) {
     for _ in 0..300 {
         if sim.finished() || sim.step().is_err() {
             break;
         }
     }
+}
+
+/// Decodes and restores one mutated snapshot twice: fresh through
+/// `restore_mix`, and in place through `restore_into` on `ran`, a machine
+/// that has run. Both must accept or both reject; an accepted machine is
+/// stepped 300 cycles, and a rejecting `restore_into` must leave `ran`
+/// printing exactly as `cold` does. Returns whether the decoders rejected
+/// the snapshot.
+fn exercise<'p>(
+    bytes: &[u8],
+    restore: impl FnOnce(&Snapshot) -> Option<Simulator<'p>>,
+    mut ran: Simulator<'p>,
+    cold: &str,
+) -> bool {
+    let Ok(snap) = Snapshot::from_bytes(bytes) else {
+        return true;
+    };
+    let fresh = restore(&snap);
+    let in_place = ran.restore_into(&snap);
+    assert_eq!(
+        fresh.is_some(),
+        in_place.is_ok(),
+        "restore_mix and restore_into disagree: {in_place:?}"
+    );
+    let Some(mut sim) = fresh else {
+        assert_eq!(
+            format!("{ran:?}"),
+            cold,
+            "a rejected restore_into must leave the machine cold"
+        );
+        return true;
+    };
+    step_300(&mut sim);
+    step_300(&mut ran);
     false
 }
 
@@ -276,10 +358,12 @@ fn mutated_snapshots_fail_closed_or_run() {
             vec![generated(seed, threads)]
         };
         let refs: Vec<&Program> = programs.iter().collect();
-        let wire = snapshot_bytes(
-            Simulator::try_new_mix(config.clone(), &refs).unwrap(),
-            cycles,
+        let cold = format!(
+            "{:?}",
+            Simulator::try_new_mix(config.clone(), &refs).unwrap()
         );
+        let mut ran = Simulator::try_new_mix(config.clone(), &refs).unwrap();
+        let wire = snapshot_bytes(&mut ran, cycles);
         let payload_len = Snapshot::from_bytes(&wire)
             .expect("round trip")
             .payload
@@ -292,9 +376,12 @@ fn mutated_snapshots_fail_closed_or_run() {
                 if mix { " (mix)" } else { "" }
             );
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                exercise(&bytes, |snap| {
-                    Simulator::restore_mix(config.clone(), &refs, snap).ok()
-                })
+                exercise(
+                    &bytes,
+                    |snap| Simulator::restore_mix(config.clone(), &refs, snap).ok(),
+                    ran.clone(),
+                    &cold,
+                )
             }));
             match outcome {
                 Ok(true) => rejected += 1,
