@@ -21,40 +21,38 @@
 //! cached cells that re-serialize into `results.json` exactly as a local
 //! batch run would.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Write};
 
 use crate::{Cell, Row, Table};
 
 /// Escapes a string per RFC 8259.
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
+fn escape_into<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// Formats a float the way `serde_json` (ryu) does: shortest round-trip
 /// representation, with a trailing `.0` kept on integral values. Non-finite
 /// values serialize as `null`, matching `serde_json`'s lenient writers.
-fn float_into(out: &mut String, v: f64) {
+fn float_into<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
     if !v.is_finite() {
-        out.push_str("null");
+        out.write_str("null")
     } else if v == v.trunc() && v.abs() < 1e16 {
-        let _ = write!(out, "{v:.1}");
+        write!(out, "{v:.1}")
     } else {
-        let _ = write!(out, "{v}");
+        write!(out, "{v}")
     }
 }
 
@@ -63,8 +61,12 @@ fn cell_into(out: &mut String, cell: &Cell) {
         Cell::Int(v) => {
             let _ = write!(out, "{v}");
         }
-        Cell::Float(v) => float_into(out, *v),
-        Cell::Text(s) => escape_into(out, s),
+        Cell::Float(v) => {
+            let _ = float_into(out, *v);
+        }
+        Cell::Text(s) => {
+            let _ = escape_into(out, s);
+        }
         Cell::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
 }
@@ -73,7 +75,7 @@ fn row_into(out: &mut String, row: &Row, indent: usize) {
     let pad = "  ".repeat(indent);
     let inner = "  ".repeat(indent + 1);
     let _ = write!(out, "{pad}{{\n{inner}\"label\": ");
-    escape_into(out, &row.label);
+    let _ = escape_into(out, &row.label);
     let _ = write!(out, ",\n{inner}\"values\": [");
     for (i, cell) in row.values.iter().enumerate() {
         if i > 0 {
@@ -88,15 +90,15 @@ fn table_into(out: &mut String, table: &Table, indent: usize) {
     let pad = "  ".repeat(indent);
     let inner = "  ".repeat(indent + 1);
     let _ = write!(out, "{pad}{{\n{inner}\"id\": ");
-    escape_into(out, &table.id);
+    let _ = escape_into(out, &table.id);
     let _ = write!(out, ",\n{inner}\"title\": ");
-    escape_into(out, &table.title);
+    let _ = escape_into(out, &table.title);
     let _ = write!(out, ",\n{inner}\"columns\": [");
     for (i, c) in table.columns.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        escape_into(out, c);
+        let _ = escape_into(out, c);
     }
     let _ = write!(out, "],\n{inner}\"rows\": [\n");
     for (i, row) in table.rows.iter().enumerate() {
@@ -128,7 +130,7 @@ pub fn object_to_json(fields: &[(&str, Cell)]) -> String {
     let mut out = String::from("{\n");
     for (i, (k, v)) in fields.iter().enumerate() {
         out.push_str("  ");
-        escape_into(&mut out, k);
+        let _ = escape_into(&mut out, k);
         out.push_str(": ");
         cell_into(&mut out, v);
         out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
@@ -231,41 +233,41 @@ impl Value {
     /// result is always a legal protocol frame).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write_into(&mut out);
-        out
+        self.to_string()
     }
+}
 
-    fn write_into(&self, out: &mut String) {
+/// The compact one-line form of [`Value::to_line`], written straight
+/// into any formatter or writer.
+impl fmt::Display for Value {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Value::Null => out.write_str("null"),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Int(v) => write!(out, "{v}"),
             Value::Float(v) => float_into(out, *v),
             Value::Str(s) => escape_into(out, s),
             Value::Array(xs) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, x) in xs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    x.write_into(out);
+                    x.fmt(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Value::Object(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    escape_into(out, k);
-                    out.push(':');
-                    v.write_into(out);
+                    escape_into(out, k)?;
+                    out.write_char(':')?;
+                    v.fmt(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -672,17 +674,17 @@ impl<R: BufRead> JsonLineReader<R> {
     }
 }
 
-/// Writes one value as a `\n`-terminated frame and flushes, so a peer
-/// blocked on a read always sees the line.
+/// Serializes one value as a `\n`-terminated frame straight into `w`.
+///
+/// It does not flush: over a socket, `w` is a buffer the caller flushes
+/// before it waits on the peer, so a reply of several frames leaves in
+/// one write.
 ///
 /// # Errors
 ///
 /// Propagates transport errors.
 pub fn write_json_line<W: Write>(w: &mut W, v: &Value) -> io::Result<()> {
-    let mut line = v.to_line();
-    line.push('\n');
-    w.write_all(line.as_bytes())?;
-    w.flush()
+    writeln!(w, "{v}")
 }
 
 #[cfg(test)]
@@ -712,20 +714,20 @@ mod tests {
     #[test]
     fn floats_keep_trailing_zero() {
         let mut out = String::new();
-        float_into(&mut out, 100.0);
+        float_into(&mut out, 100.0).unwrap();
         assert_eq!(out, "100.0");
         out.clear();
-        float_into(&mut out, 1.25);
+        float_into(&mut out, 1.25).unwrap();
         assert_eq!(out, "1.25");
         out.clear();
-        float_into(&mut out, f64::NAN);
+        float_into(&mut out, f64::NAN).unwrap();
         assert_eq!(out, "null");
     }
 
     #[test]
     fn strings_are_escaped() {
         let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd");
+        escape_into(&mut out, "a\"b\\c\nd").unwrap();
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\"");
     }
 
@@ -766,7 +768,7 @@ mod tests {
     fn parser_round_trips_shortest_form_floats_bit_exactly() {
         for &f in &[1.234_567_890_123_4, 0.1, 1.0 / 3.0, 2.5e-10, 1e300] {
             let mut line = String::new();
-            float_into(&mut line, f);
+            float_into(&mut line, f).unwrap();
             let Value::Float(back) = parse_value(&line).unwrap() else {
                 panic!("{line} did not parse as a float");
             };

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::encode::{decode, encode, DecodeError, EncodeError};
 use crate::insn::Instruction;
@@ -80,17 +81,46 @@ impl DataImage {
 /// reset).
 ///
 /// A program is immutable once built, so its [identity](Self::identity)
-/// is hashed once, at construction.
-#[derive(Clone, PartialEq, Debug)]
+/// is hashed once, on first use: a program that is built but never keyed,
+/// spliced or forked (a corpus kernel checked at load, a report run) does
+/// not pay for it.
+#[derive(Clone)]
 pub struct Program {
     text: Vec<Instruction>,
     decoded: Vec<DecodedInsn>,
     entry: usize,
     data: DataImage,
     labels: BTreeMap<String, usize>,
-    /// Stable hash of `(text, entry, data)`; a function of those fields,
-    /// so the derived equality means what it did without it.
-    identity: u64,
+    /// Stable hash of `(text, entry, data)`, filled by the first
+    /// [`identity`](Self::identity) call.
+    identity: OnceLock<u64>,
+}
+
+/// Equal text, entry point, data image and labels. The predecoded stream
+/// and the identity are functions of those fields, and the identity may
+/// not have been hashed yet on either side.
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+            && self.entry == other.entry
+            && self.data == other.data
+            && self.labels == other.labels
+    }
+}
+
+/// Prints every field, the identity as a value: whether it has been
+/// hashed yet does not show.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("text", &self.text)
+            .field("decoded", &self.decoded)
+            .field("entry", &self.entry)
+            .field("data", &self.data)
+            .field("labels", &self.labels)
+            .field("identity", &self.identity())
+            .finish()
+    }
 }
 
 impl Program {
@@ -110,14 +140,13 @@ impl Program {
             text.len()
         );
         let decoded = predecode::predecode(&text);
-        let identity = smt_checkpoint::stable_hash(&(text.as_slice(), entry, &data));
         Program {
             text,
             decoded,
             entry,
             data,
             labels: BTreeMap::new(),
-            identity,
+            identity: OnceLock::new(),
         }
     }
 
@@ -170,7 +199,9 @@ impl Program {
     /// builds that produce the same machine program hash equally.
     #[must_use]
     pub fn identity(&self) -> u64 {
-        self.identity
+        *self.identity.get_or_init(|| {
+            smt_checkpoint::stable_hash(&(self.text.as_slice(), self.entry, &self.data))
+        })
     }
 
     /// Debug labels attached by the builder or assembler.
@@ -341,6 +372,19 @@ mod tests {
         assert_eq!(p.clone().with_labels(labels).identity(), p.identity());
         let moved = Program::new(p.text().to_vec(), 1, p.data().clone());
         assert_ne!(moved.identity(), p.identity());
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_identity_was_hashed() {
+        let (hashed, fresh) = (tiny(), tiny());
+        let _ = hashed.identity();
+        assert_eq!(hashed, fresh);
+        assert_eq!(fresh, hashed);
+        assert_eq!(hashed.clone(), fresh.clone());
+        let moved = Program::new(fresh.text().to_vec(), 1, fresh.data().clone());
+        let _ = moved.identity();
+        assert_ne!(moved, fresh);
+        assert_ne!(fresh, moved);
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //!
 //! `submit` prints one line per answered cell and, with `--out`, writes
 //! the merged `results.json` — byte-identical to what a batch `sweep`
-//! run over the same cells would produce. Exits nonzero if any cell
-//! failed or the server refused the submission.
+//! run over the same cells would produce. Its stderr summary line counts
+//! the cells by how they were answered and ends with the exchange's
+//! elapsed seconds. Exits nonzero if any cell failed or the server
+//! refused the submission.
 
 use std::error::Error;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use smt_experiments::cli::{self, Args, Flags};
 use smt_experiments::json::parse_value;
@@ -85,9 +88,11 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             },
             _ => {
                 let (progress, cpi) = (args.switch("--progress"), args.switch("--cpi"));
+                let begin = Instant::now();
                 let outcome = client.submit(&cells, grid, progress, cpi, &mut |p| {
                     eprintln!("… {} @ cycle {} ({} committed)", p.id, p.cycle, p.committed);
                 })?;
+                let elapsed = begin.elapsed().as_secs_f64();
                 for (_, rec) in &outcome.cells {
                     println!("{}: {} ipc={:?}", rec.id, rec.status.as_str(), rec.ipc);
                 }
@@ -95,7 +100,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                     eprintln!("FAILED {id}: {reason}");
                 }
                 eprintln!(
-                    "sweep-client: {} cells ({} cached, {} scheduled, {} joined, {} failed)",
+                    "sweep-client: {} cells ({} cached, {} scheduled, {} joined, {} failed) in {elapsed:.3} s",
                     outcome.cells.len() + outcome.failed.len(),
                     outcome.cached,
                     outcome.scheduled,

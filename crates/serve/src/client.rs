@@ -9,7 +9,7 @@
 //! sweep's `results.json` would hold.
 
 use std::fmt;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use smt_experiments::json::{write_json_line, Frame, JsonLineReader, Value};
@@ -86,7 +86,7 @@ impl SubmitOutcome {
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     frames: JsonLineReader<BufReader<TcpStream>>,
-    out: TcpStream,
+    out: BufWriter<TcpStream>,
 }
 
 impl Client {
@@ -96,15 +96,21 @@ impl Client {
     ///
     /// Fails on resolution or connection errors.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let out = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
+        // A request leaves whole (see `send`), so Nagle's algorithm would
+        // only hold it back until the server's delayed ACK.
+        stream.set_nodelay(true)?;
         Ok(Client {
-            frames: JsonLineReader::new(BufReader::new(out.try_clone()?)),
-            out,
+            frames: JsonLineReader::new(BufReader::new(stream.try_clone()?)),
+            out: BufWriter::new(stream),
         })
     }
 
+    /// Sends one request in one write; every caller then waits for its
+    /// reply.
     fn send(&mut self, req: &Value) -> Result<(), ClientError> {
         write_json_line(&mut self.out, req)?;
+        self.out.flush()?;
         Ok(())
     }
 

@@ -15,14 +15,19 @@
 //! a typed per-cell error event — the worker, the other cells, and the
 //! server all survive. Locks are taken with poison-tolerant guards for
 //! the same reason.
+//!
+//! Transport: a connection's reply frames collect in one buffer that is
+//! flushed only when the handler is about to block — on the next
+//! request's bytes, on the next cell event, or on a search — so a reply
+//! of several frames leaves in one write (see [`Conn`]).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
@@ -290,30 +295,51 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     shared.work.notify_all();
 }
 
+/// One connection's socket, read through a `BufReader`, and its reply
+/// buffer. Every frame of a reply is written into `out`; the socket is
+/// read only once the `BufReader` holds no more request bytes, when the
+/// handler is about to block, so that read sends the buffered replies
+/// first. Requests pipelined into one segment are answered in one write.
+struct Conn {
+    stream: TcpStream,
+    out: BufWriter<TcpStream>,
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.out.flush()?;
+        self.stream.read(buf)
+    }
+}
+
 /// One connection: read frames, answer each with one or more response
 /// lines. Returns when the client disconnects, sends an unframeable
 /// line, or asks for shutdown.
 fn handle(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut frames = JsonLineReader::new(BufReader::new(stream.try_clone()?));
-    let mut out = stream;
+    // Replies leave whole (see `Conn`), so Nagle's algorithm would only
+    // hold each one back until the client's delayed ACK.
+    stream.set_nodelay(true)?;
+    let out = BufWriter::new(stream.try_clone()?);
+    let mut frames = JsonLineReader::new(BufReader::new(Conn { stream, out }));
     while let Some(frame) = frames.next_value()? {
+        let out = &mut frames.get_mut().get_mut().out;
         match frame {
             Frame::Oversized => {
                 // The rest of the line is unread and unbounded; after the
                 // error there is no safe way to resynchronize.
                 let reason = format!("line exceeds the {MAX_LINE}-byte cap");
-                write_json_line(&mut out, &proto::error_response(&reason))?;
-                return Ok(());
+                write_json_line(out, &proto::error_response(&reason))?;
+                return out.flush();
             }
             Frame::Malformed(reason) => {
-                write_json_line(&mut out, &proto::error_response(&reason))?;
+                write_json_line(out, &proto::error_response(&reason))?;
             }
             Frame::Value(v) => match Request::parse(&v) {
                 Err(reason) => {
-                    write_json_line(&mut out, &proto::error_response(&reason))?;
+                    write_json_line(out, &proto::error_response(&reason))?;
                 }
                 Ok(req) => {
-                    if !respond(&mut out, shared, req)? {
+                    if !respond(out, shared, req)? {
                         return Ok(());
                     }
                 }
@@ -323,9 +349,9 @@ fn handle(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Executes one request. Returns `false` when the connection should
-/// close (shutdown acknowledged).
-fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<bool> {
+/// Executes one request, buffering its reply in `out`. Returns `false`
+/// when the connection should close (shutdown acknowledged).
+fn respond(out: &mut impl Write, shared: &Shared, req: Request) -> io::Result<bool> {
     match req {
         Request::Ping => {
             let opts = shared.sched.opts();
@@ -395,6 +421,9 @@ fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<boo
                 seed,
                 ..SearchParams::default()
             };
+            // The search parks this handler for a whole campaign; replies
+            // to requests pipelined ahead of it leave first.
+            out.flush()?;
             let report = catch_unwind(AssertUnwindSafe(|| {
                 run_search(&shared.sched, &space, mode, &params)
             }));
@@ -424,7 +453,10 @@ fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<boo
             }
         }
         Request::Shutdown => {
+            // The process may exit as soon as the workers join, before
+            // this handler runs again: `bye` must be on the wire first.
             write_json_line(out, &Value::Object(vec![("type".into(), "bye".into())]))?;
+            out.flush()?;
             shared.begin_shutdown();
             return Ok(false);
         }
@@ -436,7 +468,7 @@ fn respond(out: &mut TcpStream, shared: &Shared, req: Request) -> io::Result<boo
 /// inline, schedule-or-join the misses, then stream events until all
 /// have finished.
 fn submit(
-    out: &mut TcpStream,
+    out: &mut impl Write,
     shared: &Shared,
     cells: &[CellSpec],
     progress: bool,
@@ -495,7 +527,7 @@ fn submit(
         // Workers drain the queue even during shutdown and `complete`
         // always fires (panics included), so this cannot wedge; a closed
         // channel here would mean a worker died outside its unwind guard.
-        let Ok(event) = rx.recv() else {
+        let Some(event) = next_event(&rx, out)? else {
             failed += pending;
             write_json_line(
                 out,
@@ -547,6 +579,20 @@ fn submit(
             ("failed".into(), failed.into()),
         ]),
     )
+}
+
+/// The next cell event, draining those already queued before it sends
+/// the buffered frames and waits: progress ticks that queued while the
+/// handler was writing leave together. `None` once every sender is gone.
+fn next_event(rx: &Receiver<Event>, out: &mut impl Write) -> io::Result<Option<Event>> {
+    match rx.try_recv() {
+        Ok(event) => Ok(Some(event)),
+        Err(TryRecvError::Disconnected) => Ok(None),
+        Err(TryRecvError::Empty) => {
+            out.flush()?;
+            Ok(rx.recv().ok())
+        }
+    }
 }
 
 /// A per-cell failure inside a submit stream: an `error` carrying the
